@@ -14,7 +14,8 @@ and the Fourier-space evaluation uses the 1D kernel expansion
 
 on a mode lattice of spacing h, tensorized over the three axes.  The two
 Fourier sums (band points -> modes, modes -> surface points) are the type-1
-and type-2 NUFFTs.
+and type-2 NUFFTs, computed by ES-kernel gridding; one pair of calls diffuses
+all n^2 matrix components at once.
 
 Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
 step; the diffusion time rescales by the squared map factor.
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalHealthError
 from .field import MatrixField
 from .nufft import GridderPlan, ModeGrid
 
@@ -454,7 +455,7 @@ class SurfaceDiffuser:
         # damping suppresses to ~eps; check at the oversampled-grid level
         plan = self._tgt_plan
         if plan.last_imag_residue > 1e-4 * max(plan.last_real_scale, 1e-300):
-            raise AssertionError(
+            raise NumericalHealthError(
                 f"imaginary residue {plan.last_imag_residue:.3e} in surface diffusion")
         return out * self._constant
 

@@ -15,3 +15,7 @@ class ConfigurationError(ValueError):
 
 class SnapshotFormatError(ValueError):
     """A snapshot file is malformed or fails its integrity checks."""
+
+
+class NumericalHealthError(ArithmeticError):
+    """A real-valued diffusion result came back with a large imaginary part."""

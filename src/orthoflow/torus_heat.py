@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalHealthError
 from .field import GridSpec, MatrixField
 
 __all__ = ["heat_multiplier", "TorusDiffuser", "diffuse_torus"]
@@ -56,7 +57,7 @@ class TorusDiffuser:
         out = np.fft.ifftn(spec, axes=axes)
         residue = float(np.abs(out.imag).max())
         if residue > IMAG_RESIDUE_TOL:
-            raise AssertionError(f"imaginary residue {residue:.3e} after diffusion")
+            raise NumericalHealthError(f"imaginary residue {residue:.3e} after diffusion")
         return f.copy_with(out.real)
 
 

@@ -3,13 +3,15 @@
 Heavy checks run on a coarse sphere band (dx = 0.2, p = 1); the acceptance
 suite repeats the headline oracle at the production scale (dx = 0.05).
 """
+import copy
+
 import numpy as np
 import pytest
 
 from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser,
                                     band_width, build_band, closest_point,
                                     peanut_surface, spectral_grid, tail_T)
-from orthoflow.errors import ConfigurationError
+from orthoflow.errors import ConfigurationError, NumericalHealthError
 
 TAU, EPS = 0.05, 1e-6
 
@@ -221,6 +223,15 @@ class TestDiffuseSurface:
             return np.abs(out - np.exp(-2 * TAU) * z).max()
         assert abs(max_dev(sphere_diffuser, sphere_band)
                    - max_dev(dif_w, wide)) <= 10 * EPS
+
+    def test_imaginary_residue_raises(self, sphere_diffuser, sphere_band):
+        # keep only the -M corner mode, whose +M partner is not on the lattice:
+        # the back-transform is a complex exponential, far from real
+        broken = copy.copy(sphere_diffuser)
+        broken._damp = np.zeros_like(sphere_diffuser._damp)
+        broken._damp[0, 0, 0] = 1.0
+        with pytest.raises(NumericalHealthError, match="imaginary residue"):
+            broken.diffuse_values(np.ones((sphere_band.n_q, 1)))
 
     def test_band_too_narrow_for_tau(self, sphere_band):
         with pytest.raises(ConfigurationError):

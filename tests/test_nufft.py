@@ -1,9 +1,11 @@
 """NUFFT accuracy against direct summation, plus structural identities."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthoflow.nufft import (ModeGrid, direct_type1, direct_type2, nufft_type1,
-                             nufft_type2)
+from orthoflow.nufft import (GridderPlan, ModeGrid, direct_type1, direct_type2,
+                             es_width, nufft_type1, nufft_type2)
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +147,96 @@ class TestValidation:
             ModeGrid(h=1.0, m_half=0)
         with pytest.raises(ValueError):
             ModeGrid(h=1.0, m_half=4, d=2)
+
+
+class TestMultiColumn:
+    """A plan applied to C columns at once equals C single-column calls."""
+
+    NCOMP = 4
+
+    @pytest.fixture(scope="class")
+    def plan(self, case):
+        modes, pts, _ = case
+        return GridderPlan(pts, modes, 1e-9)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_type1_columns(self, plan, is_complex):
+        rng = np.random.default_rng(6)
+        coeffs = rng.standard_normal((plan.npts, self.NCOMP))
+        if is_complex:
+            coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+        multi = plan.type1(coeffs)
+        assert multi.shape == (32, 32, 32, self.NCOMP)
+        for c in range(self.NCOMP):
+            assert rel_max_err(multi[..., c], plan.type1(coeffs[:, c])) <= 1e-14
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_type2_columns(self, plan, is_complex):
+        rng = np.random.default_rng(7)
+        spec = rng.standard_normal((32, 32, 32, self.NCOMP))
+        if is_complex:
+            spec = spec + 1j * rng.standard_normal(spec.shape)
+        multi = plan.type2(spec)
+        assert multi.shape == (plan.npts, self.NCOMP)
+        for c in range(self.NCOMP):
+            assert rel_max_err(multi[:, c], plan.type2(spec[..., c])) <= 1e-14
+
+    def test_real_output_is_real_part(self, plan):
+        rng = np.random.default_rng(8)
+        spec = rng.standard_normal((32, 32, 32, 3)) + 1j * rng.standard_normal((32, 32, 32, 3))
+        full = plan.type2(spec)
+        real = plan.type2(spec, real_output=True)
+        assert real.dtype == np.float64
+        assert rel_max_err(real, full.real) <= 1e-14
+        assert plan.last_imag_residue > 0.0 and plan.last_real_scale > 0.0
+
+    def test_repeat_calls_bit_identical(self, plan):
+        rng = np.random.default_rng(9)
+        coeffs = rng.standard_normal((plan.npts, 3)) + 1j * rng.standard_normal((plan.npts, 3))
+        spec = rng.standard_normal((32, 32, 32, 3)) + 0j
+        assert np.array_equal(plan.type1(coeffs), plan.type1(coeffs))
+        assert np.array_equal(plan.type2(spec), plan.type2(spec))
+        assert np.array_equal(plan.type2(spec, real_output=True),
+                              plan.type2(spec, real_output=True))
+
+
+class TestWidthRule:
+    @pytest.mark.parametrize("tol,width", [(1e-2, 5), (1e-3, 6), (1e-6, 9),
+                                           (1e-9, 12), (1e-12, 15)])
+    def test_width(self, tol, width):
+        assert es_width(tol) == width
+
+    def test_plan_stencil_width(self, case):
+        modes, pts, _ = case
+        assert GridderPlan(pts, modes, 1e-6).kdim == 9
+
+
+@st.composite
+def nufft_cases(draw):
+    """Small point sets mixing random points with the hard cases: the
+    origin, the corner -pi and exact nodes of the oversampled grid."""
+    m_half = draw(st.integers(2, 8))
+    tol = 10.0 ** draw(st.floats(-9.0, -3.0))
+    n_over = 4 * m_half
+    node = st.integers(0, n_over - 1).map(lambda j: -np.pi + 2 * np.pi * j / n_over)
+    coord = st.one_of(node, st.floats(-np.pi, np.pi, exclude_max=True))
+    special = [[0.0, 0.0, 0.0], [-np.pi] * 3]
+    pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ModeGrid(h=1.0, m_half=m_half), tol, np.array(special + pts), seed
+
+
+class TestAccuracyProperty:
+    """The width rule holds against direct sums, hard points included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nufft_cases())
+    def test_type1_and_type2_within_tol(self, case):
+        modes, tol, pts, seed = case
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+        shape = (modes.n_modes,) * 3
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        plan = GridderPlan(pts, modes, tol)
+        assert rel_max_err(plan.type1(coeffs), direct_type1(pts, coeffs, modes)) <= tol
+        assert rel_max_err(plan.type2(spec), direct_type2(spec, pts, modes)) <= tol

@@ -6,6 +6,7 @@ sampled on the grid.
 import numpy as np
 import pytest
 
+from orthoflow.errors import NumericalHealthError
 from orthoflow.field import GridSpec, MatrixField
 from orthoflow.scenarios import rotation_branch
 from orthoflow.torus_heat import TorusDiffuser, diffuse_torus, heat_multiplier
@@ -119,6 +120,17 @@ class TestDiffuse:
         a = diffuse_torus(f, 0.01)
         b = diffuse_torus(f, 0.01)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_imaginary_residue_raises(self):
+        # a symbol without its conjugate-mode partner makes real data complex
+        g = self.grid()
+        rng = np.random.default_rng(4)
+        f = MatrixField.grid_field(g, rng.standard_normal((64, 64, 2, 2)))
+        d = TorusDiffuser(g, 0.01)
+        d.multipliers = np.zeros_like(d.multipliers)
+        d.multipliers[1, 0] = 1.0
+        with pytest.raises(NumericalHealthError, match="imaginary residue"):
+            d.diffuse(f)
 
     def test_rejects_bad_tau_and_layout(self):
         g = self.grid()
