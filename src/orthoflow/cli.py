@@ -7,8 +7,14 @@ Subcommands:
     orthoflow check SNAPSHOT
 
 Configs are flat key = value text (# comments); see the README for the
-schema.  Exit codes: run 0 converged / 2 hit max_iters / 1 bad config;
-tables 0 all entries match / 3 mismatches; check 0 valid / 1 malformed.
+schema.  Exit codes:
+
+    run     0 converged, 2 stopped at max_iters, 1 bad config (including a
+            volume target outside (0, total measure)), 4 numerical failure
+            during the run (DegenerateDeterminantError or
+            NumericalHealthError); errors print one line on stderr
+    tables  0 all entries match, 3 mismatches
+    check   0 valid, 1 malformed or non-orthogonal snapshot
 """
 
 from __future__ import annotations
@@ -21,16 +27,19 @@ from pathlib import Path
 import numpy as np
 
 from .cpm_surface import BandSpec, SurfaceDiffuser, band_width, build_band, spectral_grid
-from .errors import ConfigurationError, SnapshotFormatError, UnderResolvedError
+from .errors import (ConfigurationError, DegenerateDeterminantError,
+                     NumericalHealthError, SnapshotFormatError, UnderResolvedError)
 from .field import (GridSpec, interface_cells, plus_region_stats, plus_volume,
                     read_snapshot, winding_pair, write_snapshot)
 from .mbo import MboConfig, lyapunov_energy, mbo_run
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, build_initial, builtin_surface
 from .torus_heat import TorusDiffuser
 
-__all__ = ["main", "cmd_run", "cmd_tables", "cmd_check",
+__all__ = ["main", "cmd_run", "cmd_tables", "cmd_check", "EXIT_NUMERICAL",
            "REFERENCE_BAND_WIDTHS", "REFERENCE_MODE_COUNTS",
            "TABLE_TAUS", "TABLE_EPSS"]
+
+EXIT_NUMERICAL = 4      # run: a numerical-health failure while iterating
 
 TABLE_TAUS = (1e-1, 1e-2, 1e-3, 1e-4)
 TABLE_EPSS = (1e-3, 1e-6, 1e-9, 1e-12)
@@ -120,6 +129,11 @@ def _build_run(cfg: dict):
     if raw_v is not None:
         volume_target = (plus_volume(initial) if raw_v.strip() == "initial"
                          else _get(cfg, "run.volume_target", float))
+        total = initial.total_measure
+        if not 0.0 < volume_target < total:
+            raise ConfigurationError(
+                f"run.volume_target {volume_target:g} outside (0, {total:g}), "
+                f"the total measure of the domain")
     mbo_cfg = MboConfig(backend=backend, max_iters=max_iters, stop_tol=stop_tol,
                         volume_target=volume_target, snapshot_every=snapshot_every)
     return initial, mbo_cfg
@@ -139,7 +153,11 @@ def cmd_run(config_path, out_dir=None, snapshot_every=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    result = mbo_run(initial, mbo_cfg)
+    try:
+        result = mbo_run(initial, mbo_cfg)
+    except (DegenerateDeterminantError, NumericalHealthError) as exc:
+        print(f"error: numerical failure during the run: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     result.log.write_csv(out / "energy_log.csv")
     for iteration, snap in result.snapshots:
         write_snapshot(snap, out / f"snapshot_{iteration:06d}.mbof")
@@ -220,7 +238,10 @@ def cmd_check(snapshot_path, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     kind = "grid" if f.is_grid else "cloud"
+    dets = f.dets()
     print(f"flavor={kind} n={f.n} points={f.npoints}", file=out)
+    print(f"orthogonality_defect={f.orthogonality_defect():.3e} "
+          f"det_min={dets.min():.12f} det_max={dets.max():.12f}", file=out)
     print(f"plus_volume={plus_volume(f):.6f} of total {f.total_measure:.6f}",
           file=out)
     if f.is_grid and f.grid.d == 2:

@@ -18,4 +18,9 @@ class SnapshotFormatError(ValueError):
 
 
 class NumericalHealthError(ArithmeticError):
-    """A real-valued diffusion result came back with a large imaginary part."""
+    """A numerical-health check failed during a run.
+
+    Raised when a surface diffusion result comes back with a large imaginary
+    part, when an MBO step's diffusion result is not finite, or when its
+    projection output is not orthogonal.
+    """

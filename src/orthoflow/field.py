@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import os
 import struct
 from dataclasses import dataclass, field as dataclass_field
 
@@ -161,15 +163,28 @@ class MatrixField:
         return np.linalg.det(self.data)
 
     def orthogonality_defect(self) -> float:
-        """max_x || A^t A - I ||_F over the field."""
-        a = self.data
-        g = np.einsum("...ji,...jk->...ik", a, a)
-        g = g - np.eye(self.n)
-        return float(np.sqrt(np.sum(g * g, axis=(-2, -1))).max())
+        """max_x || A^t A - I ||_F over the field (nan if any entry is nan).
+
+        Loops over the n(n+1)/2 Gram entries, each vectorised over the points.
+        """
+        a = self.flat()
+        n = self.n
+        sq = np.zeros(self.npoints)
+        for i in range(n):
+            for j in range(i, n):
+                g = a[:, 0, i] * a[:, 0, j]
+                for k in range(1, n):
+                    g += a[:, k, i] * a[:, k, j]
+                if i == j:
+                    g -= 1.0
+                    sq += g * g
+                else:
+                    sq += 2.0 * g * g
+        return float(np.sqrt(sq.max()))
 
     def require_orthogonal(self, tol: float = ORTHOGONALITY_TOL):
         defect = self.orthogonality_defect()
-        if defect > tol:
+        if not defect <= tol:
             raise ValueError(f"field is not orthogonal: defect {defect:.3e} > {tol:g}")
 
     def max_deviation_from_mean(self) -> float:
@@ -351,37 +366,66 @@ def write_snapshot(f: MatrixField, path):
         fh.write(f.flat().astype("<f8").tobytes())
 
 
-def _read_exact(fh, count, what):
-    buf = fh.read(count)
-    if len(buf) != count:
+def _read_exact(fh, count, what, size):
+    """Read count bytes, refusing any count beyond the file's remaining bytes."""
+    if count > size - fh.tell():
         raise SnapshotFormatError(f"truncated snapshot while reading {what}")
-    return buf
+    return fh.read(count)
 
 
 def read_snapshot(path) -> MatrixField:
+    """Read an MBOF file; every malformation raises SnapshotFormatError.
+
+    Each header size is checked against the bytes left in the file before
+    anything is read, so a hostile header cannot trigger a huge allocation.
+    """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _MAGIC:
-            raise SnapshotFormatError("bad magic bytes (not an MBOF snapshot)")
-        version, n, flavor = struct.unpack("<IIB", _read_exact(fh, 9, "header"))
-        if version != _VERSION:
-            raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        if flavor == 0:
-            (d,) = struct.unpack("<I", _read_exact(fh, 4, "dimension"))
-            sizes = struct.unpack(f"<{d}Q", _read_exact(fh, 8 * d, "sizes"))
-            extent = struct.unpack(f"<{d}d", _read_exact(fh, 8 * d, "extents"))
-            npts = int(np.prod(sizes))
-            data = np.frombuffer(
-                _read_exact(fh, npts * n * n * 8, "matrix data"), dtype="<f8")
-            grid = GridSpec(sizes=tuple(int(s) for s in sizes), extent=extent)
-            return MatrixField.grid_field(
-                grid, data.reshape(*sizes, n, n).copy())
-        if flavor == 1:
-            (npts,) = struct.unpack("<Q", _read_exact(fh, 8, "point count"))
-            pw = np.frombuffer(
-                _read_exact(fh, npts * 4 * 8, "points"), dtype="<f8")
-            pw = pw.reshape(npts, 4)
-            data = np.frombuffer(
-                _read_exact(fh, npts * n * n * 8, "matrix data"), dtype="<f8")
-            return MatrixField.cloud_field(
-                pw[:, :3].copy(), pw[:, 3].copy(), data.reshape(npts, n, n).copy())
-        raise SnapshotFormatError(f"unknown flavor byte {flavor}")
+        size = os.fstat(fh.fileno()).st_size
+        try:
+            return _parse_snapshot(fh, size)
+        except SnapshotFormatError:
+            raise
+        except ValueError as exc:          # GridSpec / MatrixField validation
+            raise SnapshotFormatError(f"invalid snapshot contents: {exc}") from exc
+
+
+def _parse_snapshot(fh, size) -> MatrixField:
+    def take(count, what):
+        return _read_exact(fh, count, what, size)
+
+    def rest_is_empty():
+        if fh.tell() != size:
+            raise SnapshotFormatError(f"{size - fh.tell()} trailing bytes after the data")
+
+    if take(4, "magic") != _MAGIC:
+        raise SnapshotFormatError("bad magic bytes (not an MBOF snapshot)")
+    version, n, flavor = struct.unpack("<IIB", take(9, "header"))
+    if version != _VERSION:
+        raise SnapshotFormatError(f"unsupported snapshot version {version}")
+    if n == 0:
+        raise SnapshotFormatError("matrix size n = 0")
+    if flavor == 0:
+        (d,) = struct.unpack("<I", take(4, "dimension"))
+        if d == 0:
+            raise SnapshotFormatError("grid dimension d = 0")
+        sizes = struct.unpack(f"<{d}Q", take(8 * d, "sizes"))
+        extent = struct.unpack(f"<{d}d", take(8 * d, "extents"))
+        if not all(np.isfinite(e) and e > 0 for e in extent):
+            raise SnapshotFormatError("grid extents must be finite and positive")
+        npts = math.prod(sizes)
+        data = np.frombuffer(take(npts * n * n * 8, "matrix data"), dtype="<f8")
+        rest_is_empty()
+        return MatrixField.grid_field(GridSpec(sizes=sizes, extent=extent),
+                                      data.reshape(*sizes, n, n).copy())
+    if flavor == 1:
+        (npts,) = struct.unpack("<Q", take(8, "point count"))
+        if npts == 0:
+            raise SnapshotFormatError("cloud with no points")
+        pw = np.frombuffer(take(npts * 4 * 8, "points"), dtype="<f8").reshape(npts, 4)
+        if not np.all(np.isfinite(pw)):
+            raise SnapshotFormatError("non-finite cloud points or weights")
+        data = np.frombuffer(take(npts * n * n * 8, "matrix data"), dtype="<f8")
+        rest_is_empty()
+        return MatrixField.cloud_field(
+            pw[:, :3].copy(), pw[:, 3].copy(), data.reshape(npts, n, n).copy())
+    raise SnapshotFormatError(f"unknown flavor byte {flavor}")

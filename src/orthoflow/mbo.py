@@ -21,7 +21,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .field import EnergyLog, MatrixField, plus_volume
+from .errors import NumericalHealthError
+# plus_volume stays importable here: perfbench traces orthoflow.mbo.plus_volume
+from .field import EnergyLog, MatrixField, plus_volume  # noqa: F401
 from .matgeom import orthogonal_projections, project_orthogonal_stack
 
 __all__ = [
@@ -70,6 +72,9 @@ class StepStats:
     singular_count: int
     max_frobenius: float     # of the diffused field, for the maximum principle
     max_abs_det: float
+    # flattened SO(n) mask of the new field: the plus region, and the "old"
+    # signs the next step compares against
+    plus: np.ndarray = dataclass_field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,11 @@ class RunResult:
     singular_total: int
 
 
+def _energy(f: MatrixField, diffused: MatrixField, tau: float) -> float:
+    inner = np.einsum("...ij,...ij->...", f.data, diffused.data).reshape(-1)
+    return float(np.sum(f.weights * (f.n - inner)) / tau)
+
+
 def lyapunov_energy(f: MatrixField, diffuser, diffused: MatrixField | None = None) -> float:
     """Interpolated Dirichlet energy of an orthogonal field.
 
@@ -99,36 +109,56 @@ def lyapunov_energy(f: MatrixField, diffuser, diffused: MatrixField | None = Non
     f.require_orthogonal()
     if diffused is None:
         diffused = diffuser.diffuse(f)
-    inner = np.einsum("...ij,...ij->...", f.data, diffused.data).reshape(-1)
-    return float(np.sum(f.weights * (f.n - inner)) / diffuser.tau)
+    return _energy(f, diffused, diffuser.tau)
 
 
-def _pointwise_frob(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(diff * diff, axis=(-2, -1)))
+def _max_frobenius(data: np.ndarray) -> float:
+    """Largest pointwise Frobenius norm of a (..., n, n) array."""
+    flat = data.reshape(-1, data.shape[-1] * data.shape[-2])
+    return float(np.sqrt(np.einsum("ij,ij->i", flat, flat).max()))
 
 
-def _diffused_diagnostics(diffused: MatrixField) -> tuple[float, float]:
-    frob = float(_pointwise_frob(diffused.data).max())
-    absdet = float(np.abs(diffused.dets()).max())
-    return frob, absdet
+def _start_step(f: MatrixField, cfg: MboConfig, diffused, plus):
+    """Diffuse f and check the result is finite; checks f unless plus is given.
+
+    Returns (diffused, its largest pointwise Frobenius norm, f's plus mask).
+    """
+    if plus is None:
+        f.require_orthogonal()
+        plus = f.dets().reshape(-1) > 0
+    if diffused is None:
+        diffused = cfg.backend.diffuse(f)
+    frob = _max_frobenius(diffused.data)
+    if not np.isfinite(frob):
+        raise NumericalHealthError("non-finite diffusion result")
+    return diffused, frob, plus
 
 
-def _finish_step(f, new_data, diffused, singular):
+def _finish_step(f, new_data, frob, singular, det, old_plus, new_plus):
+    """Wrap and check the projection output; one pass over its statistics."""
     new = f.copy_with(new_data.reshape(f.data.shape))
-    max_change = float(_pointwise_frob(new.data - f.data).max())
-    flips = int(np.count_nonzero((new.dets() > 0) != (f.dets() > 0)))
-    frob, absdet = _diffused_diagnostics(diffused)
-    return new, StepStats(max_change, flips, singular, frob, absdet)
+    try:
+        new.require_orthogonal()
+    except ValueError as exc:
+        raise NumericalHealthError(f"projection output: {exc}") from exc
+    max_change = _max_frobenius(new.data - f.data)
+    flips = int(np.count_nonzero(new_plus != old_plus))
+    return new, StepStats(max_change, flips, singular, frob,
+                          float(np.abs(det).max()), new_plus)
 
 
 def mbo_step(f: MatrixField, cfg: MboConfig,
-             diffused: MatrixField | None = None):
-    """Diffuse then project pointwise onto the nearest orthogonal matrix."""
-    f.require_orthogonal()
-    if diffused is None:
-        diffused = cfg.backend.diffuse(f)
-    projected, n_singular = project_orthogonal_stack(diffused.flat())
-    return _finish_step(f, projected, diffused, n_singular)
+             diffused: MatrixField | None = None, plus: np.ndarray | None = None):
+    """Diffuse then project pointwise onto the nearest orthogonal matrix.
+
+    plus is f's flattened SO(n) mask when the caller has it from the step
+    that made (and checked) f, as mbo_run does; without it f is checked
+    here and its mask is read off its determinants.
+    """
+    diffused, frob, plus = _start_step(f, cfg, diffused, plus)
+    proj = project_orthogonal_stack(diffused.flat())
+    projected, n_singular = proj
+    return _finish_step(f, projected, frob, n_singular, proj.det, plus, proj.plus)
 
 
 def delta_e(diffused: MatrixField) -> np.ndarray:
@@ -162,18 +192,22 @@ def select_threshold(values, weights, target: float) -> ThresholdResult:
 
 
 def volume_mbo_step(f: MatrixField, cfg: MboConfig,
-                    diffused: MatrixField | None = None):
-    """Diffuse, then reassign to T+/T- so the plus measure matches the target."""
+                    diffused: MatrixField | None = None, plus: np.ndarray | None = None):
+    """Diffuse, then reassign to T+/T- so the plus measure matches the target.
+
+    plus is as for mbo_step.
+    """
     if cfg.volume_target is None:
         raise ValueError("volume_mbo_step needs cfg.volume_target")
-    f.require_orthogonal()
-    if diffused is None:
-        diffused = cfg.backend.diffuse(f)
-    plus, minus, gain, singular = orthogonal_projections(diffused.flat())
+    diffused, frob, plus = _start_step(f, cfg, diffused, plus)
+    proj = orthogonal_projections(diffused.flat())
+    t_plus, t_minus, gain, singular = proj
     thr = select_threshold(gain, f.weights, cfg.volume_target)
-    new_data = minus.copy()
-    new_data[thr.plus_indices] = plus[thr.plus_indices]
-    return _finish_step(f, new_data, diffused, int(np.count_nonzero(singular)))
+    new_plus = np.zeros(f.npoints, dtype=bool)
+    new_plus[thr.plus_indices] = True
+    new_data = np.where(new_plus[:, None, None], t_plus, t_minus)
+    return _finish_step(f, new_data, frob, int(np.count_nonzero(singular)),
+                        proj.det, plus, new_plus)
 
 
 def mbo_run(initial: MatrixField, cfg: MboConfig) -> RunResult:
@@ -181,9 +215,13 @@ def mbo_run(initial: MatrixField, cfg: MboConfig) -> RunResult:
 
     Per iteration the log records the pre-step energy (so the energy column
     is the Lyapunov sequence), the post-step plus volume, the max pointwise
-    Frobenius change, and the determinant sign-flip count.
+    Frobenius change, and the determinant sign-flip count.  The first step
+    checks the initial field; every step checks its own projection output
+    and hands its plus mask to the next, so each field is checked once.
     """
     f = initial
+    plus = None
+    weights = initial.weights
     log = EnergyLog()
     snapshots = []
     converged = False
@@ -194,10 +232,11 @@ def mbo_run(initial: MatrixField, cfg: MboConfig) -> RunResult:
     iteration = 0
     for iteration in range(1, cfg.max_iters + 1):
         diffused = cfg.backend.diffuse(f)
-        energy = lyapunov_energy(f, cfg.backend, diffused=diffused)
-        new, stats = step(f, cfg, diffused=diffused)
-        log.append(iteration, energy, plus_volume(new), stats.max_change,
-                   stats.sign_flips)
+        energy = _energy(f, diffused, cfg.tau)
+        new, stats = step(f, cfg, diffused=diffused, plus=plus)
+        plus = stats.plus
+        log.append(iteration, energy, float(np.sum(weights[plus])),
+                   stats.max_change, stats.sign_flips)
         max_frob = max(max_frob, stats.max_frobenius)
         max_absdet = max(max_absdet, stats.max_abs_det)
         singular_total += stats.singular_count

@@ -4,8 +4,13 @@ import io
 import numpy as np
 import pytest
 
-from orthoflow.cli import cmd_check, cmd_run, cmd_tables, main, parse_config
-from orthoflow.errors import ConfigurationError
+import struct
+
+from orthoflow import cli
+from orthoflow.cli import (EXIT_NUMERICAL, cmd_check, cmd_run, cmd_tables, main,
+                           parse_config)
+from orthoflow.errors import (ConfigurationError, DegenerateDeterminantError,
+                              NumericalHealthError)
 from orthoflow.field import read_snapshot
 
 
@@ -148,3 +153,65 @@ class TestMain:
         rows = (tmp_path / "o" / "energy_log.csv").read_text().splitlines()[1:]
         first_pv = float(rows[0].split(",")[2])
         assert pv == pytest.approx(first_pv, abs=2 * (1 / 64) ** 2)
+
+
+class TestFailureExitCodes:
+    def volume_config(self, tmp_path, target):
+        return write_config(tmp_path / "cfg.txt", f"""
+            scenario.name = torus_volume_star
+            grid.size = 64
+            run.tau = 0.0078125
+            run.max_iters = 5
+            run.volume_target = {target}
+        """)
+
+    @pytest.mark.parametrize("target", ["5.0", "0.0", "-0.1", "1.0", "nan"])
+    def test_volume_target_outside_measure_exit_one(self, tmp_path, capsys, target):
+        code = cmd_run(self.volume_config(tmp_path, target), out_dir=tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: run.volume_target") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("error", [DegenerateDeterminantError, NumericalHealthError])
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        def failing_run(initial, cfg):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(cli, "mbo_run", failing_run)
+        code = cmd_run(self.volume_config(tmp_path, "initial"), out_dir=tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL == 4
+        assert err == "error: numerical failure during the run: synthetic failure\n"
+        assert not (tmp_path / "o" / "final.mbof").exists()
+
+
+class TestCheckReport:
+    def test_reports_defect_and_det_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", """
+            scenario.name = torus_volume_star
+            grid.size = 64
+            run.tau = 0.0078125
+            run.max_iters = 3
+            run.volume_target = initial
+        """)
+        assert cmd_run(cfg, out_dir=tmp_path / "o") == 2
+        capsys.readouterr()
+        assert cmd_check(tmp_path / "o" / "final.mbof") == 0
+        out = capsys.readouterr().out
+        fields = dict(item.split("=", 1) for item in out.split() if "=" in item)
+        assert float(fields["orthogonality_defect"]) <= 1e-10
+        assert float(fields["det_min"]) == pytest.approx(-1.0, abs=1e-12)
+        assert float(fields["det_max"]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("blob", [
+        b"MBOF" + struct.pack("<IIBI2Q2d", 1, 2, 0, 2, 2**31, 2**31, 1.0, 1.0) + b"\0" * 64,
+        b"MBOF" + struct.pack("<IIBI2Q2d", 1, 0, 0, 2, 8, 8, 1.0, 1.0),
+        b"MBOF" + struct.pack("<IIBQ", 1, 1, 1, 1) + struct.pack("<4d", 0, 0, 0, np.nan)
+        + struct.pack("<d", 1.0),
+    ], ids=["huge_grid", "n_zero", "nan_weight"])
+    def test_hostile_snapshot_exit_one(self, tmp_path, capsys, blob):
+        path = tmp_path / "h.mbof"
+        path.write_bytes(blob)
+        assert cmd_check(path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")

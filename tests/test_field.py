@@ -1,6 +1,10 @@
 """Field diagnostics (plus volume, winding, interface) and the snapshot format."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoflow.errors import SnapshotFormatError, UnderResolvedError
 from orthoflow.field import (EnergyLog, GridSpec, MatrixField, interface_cells,
@@ -203,3 +207,122 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+
+def grid_header(n=2, sizes=(8, 8), extent=(1.0, 1.0)):
+    d = len(sizes)
+    return (b"MBOF" + struct.pack("<IIB", 1, n, 0) + struct.pack("<I", d)
+            + struct.pack(f"<{d}Q", *sizes) + struct.pack(f"<{d}d", *extent))
+
+
+def cloud_bytes(points, weights, data):
+    n = data.shape[-1]
+    pw = np.concatenate([points, weights[:, None]], axis=1)
+    return (b"MBOF" + struct.pack("<IIB", 1, n, 1) + struct.pack("<Q", len(points))
+            + pw.astype("<f8").tobytes() + data.astype("<f8").tobytes())
+
+
+def small_cloud(count=5, n=2):
+    rng = np.random.default_rng(7)
+    return (rng.standard_normal((count, 3)), rng.uniform(0.5, 1.5, count),
+            np.tile(np.eye(n), (count, 1, 1)))
+
+
+class TestHostileSnapshots:
+    def expect_rejected(self, tmp_path, blob, match=None):
+        path = tmp_path / "h.mbof"
+        path.write_bytes(blob)
+        with pytest.raises(SnapshotFormatError, match=match):
+            read_snapshot(path)
+
+    def test_huge_grid_header(self, tmp_path):
+        self.expect_rejected(tmp_path, grid_header(sizes=(2**31, 2**31)) + b"\0" * 64,
+                             match="truncated")
+
+    def test_huge_dimension_and_point_count(self, tmp_path):
+        blob = b"MBOF" + struct.pack("<IIB", 1, 2, 0) + struct.pack("<I", 2**32 - 1)
+        self.expect_rejected(tmp_path, blob + b"\0" * 64, match="truncated")
+        blob = b"MBOF" + struct.pack("<IIB", 1, 2**32 - 1, 1) + struct.pack("<Q", 2**64 - 1)
+        self.expect_rejected(tmp_path, blob + b"\0" * 64, match="truncated")
+
+    def test_n_zero(self, tmp_path):
+        self.expect_rejected(tmp_path, grid_header(n=0), match="n = 0")
+        pts, w, _ = small_cloud()
+        self.expect_rejected(tmp_path, cloud_bytes(pts, w, np.zeros((5, 0, 0))),
+                             match="n = 0")
+
+    def test_d_zero(self, tmp_path):
+        self.expect_rejected(tmp_path, grid_header(sizes=(), extent=()), match="d = 0")
+
+    def test_trailing_bytes(self, tmp_path):
+        f = MatrixField.grid_field(torus_grid(8), np.tile(np.eye(2), (8, 8, 1, 1)))
+        path = tmp_path / "ok.mbof"
+        write_snapshot(f, path)
+        self.expect_rejected(tmp_path, path.read_bytes() + b"\0", match="trailing")
+
+    @pytest.mark.parametrize("where", ["point", "weight"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cloud_geometry(self, tmp_path, where, value):
+        pts, w, data = small_cloud()
+        if where == "point":
+            pts[2, 1] = value
+        else:
+            w[3] = value
+        self.expect_rejected(tmp_path, cloud_bytes(pts, w, data), match="non-finite")
+
+    @pytest.mark.parametrize("extent", [(np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0)])
+    def test_bad_grid_extent(self, tmp_path, extent):
+        blob = grid_header(extent=extent) + np.zeros(64 * 4).tobytes()
+        self.expect_rejected(tmp_path, blob, match="extent")
+
+    def test_invalid_contents_become_format_errors(self, tmp_path):
+        # a 4 x 4 grid and a non-positive weight fail MatrixField's own checks
+        self.expect_rejected(tmp_path, grid_header(sizes=(4, 4)) + np.zeros(16 * 4).tobytes())
+        pts, w, data = small_cloud()
+        w[0] = 0.0
+        self.expect_rejected(tmp_path, cloud_bytes(pts, w, data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzz_reads_back_or_raises_format_error(self, tmp_path_factory, data):
+        pts, w, mats = small_cloud(count=3)
+        valid = [grid_header(sizes=(8, 8)) + np.tile(np.eye(2), (64, 1, 1)).tobytes(),
+                 cloud_bytes(pts, w, mats)]
+        blob = bytearray(data.draw(st.sampled_from(valid)))
+        for _ in range(data.draw(st.integers(0, 4))):
+            pos = data.draw(st.integers(0, 40))       # inside the headers
+            blob[pos:pos + 1] = data.draw(st.binary(min_size=1, max_size=1))
+        cut = data.draw(st.integers(0, len(blob) + 1))
+        blob = bytes(blob[:cut]) + data.draw(st.binary(max_size=16))
+        if data.draw(st.booleans()):
+            blob = b"MBOF" + data.draw(st.binary(max_size=96))
+        path = tmp_path_factory.mktemp("fuzz") / "f.mbof"
+        path.write_bytes(blob)
+        try:
+            f = read_snapshot(path)
+        except SnapshotFormatError:
+            return
+        assert f.n >= 1 and f.npoints >= 1
+        assert np.all(f.weights > 0) and np.all(np.isfinite(f.weights))
+        out = path.with_suffix(".out")
+        write_snapshot(f, out)
+        assert out.read_bytes() == blob
+
+
+class TestOrthogonalityDefect:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_gram_oracle(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((50, 3))
+        data = rng.standard_normal((50, n, n))
+        f = MatrixField.cloud_field(pts, np.ones(50), data)
+        gram = np.einsum("pki,pkj->pij", data, data) - np.eye(n)
+        want = np.sqrt(np.sum(gram**2, axis=(1, 2))).max()
+        assert f.orthogonality_defect() == pytest.approx(want, rel=1e-12)
+
+    def test_nan_field_is_not_orthogonal(self):
+        g = torus_grid(8)
+        data = np.tile(np.eye(2), (8, 8, 1, 1))
+        data[3, 4, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="not orthogonal"):
+            MatrixField.grid_field(g, data).require_orthogonal()

@@ -5,6 +5,8 @@ brute-force sampling over the orthogonal group.
 """
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orthoflow.errors import DegenerateDeterminantError
 from orthoflow.matgeom import (frobenius_inner, nearest_opposite,
@@ -183,9 +185,10 @@ class TestComponentGap:
 
 
 class TestStacked:
-    def test_matches_single_matrix_ops(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_single_matrix_ops(self, n):
         rng = np.random.default_rng(11)
-        mats = rng.standard_normal((40, 3, 3))
+        mats = rng.standard_normal((40, n, n))
         plus, minus, gain, singular = orthogonal_projections(mats)
         assert not singular.any()
         for i in range(len(mats)):
@@ -205,3 +208,118 @@ class TestStacked:
         ortho = projected @ np.swapaxes(projected, -1, -2)
         np.testing.assert_allclose(ortho, np.broadcast_to(np.eye(2), ortho.shape),
                                    atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernel against an independent SVD oracle
+# ---------------------------------------------------------------------------
+
+def svd_oracle(a):
+    """(T+, T-, sigma) from LAPACK: U V^t and U D_n V^t sorted by det sign."""
+    u, s, vh = np.linalg.svd(a)
+    uv = u @ vh
+    ud = u.copy()
+    ud[:, -1] = -ud[:, -1]
+    uvd = ud @ vh
+    if np.linalg.det(uv) > 0:
+        return uv, uvd, s
+    return uvd, uv, s
+
+
+def square_matrices(max_abs=1e3):
+    """(n, n) float matrices for n in 1..3, entries from subnormal to max_abs.
+
+    A common scale factor pushes whole matrices into the tiny range too.
+    """
+    entry = st.floats(-max_abs, max_abs, allow_nan=False, allow_infinity=False)
+    scale = st.sampled_from([1.0, 1.0, 1e-150, 1e-310])
+    return st.tuples(st.integers(1, 3), scale).flatmap(
+        lambda ns: st.lists(entry, min_size=ns[0] ** 2, max_size=ns[0] ** 2).map(
+            lambda v: ns[1] * np.array(v).reshape(ns[0], ns[0])))
+
+
+class TestKernelProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(square_matrices())
+    def test_against_svd_oracle(self, a):
+        n = len(a)
+        plus, minus, gain, singular = res = orthogonal_projections(a[None])
+        projected, n_sing = proj = project_orthogonal_stack(a[None])
+        plus, minus, gain, det = plus[0], minus[0], gain[0], res.det[0]
+        want_plus, want_minus, s = svd_oracle(a)
+        scale = 1.0 + np.linalg.norm(a)
+
+        # T+ in SO(n), T- in SO-(n), both orthogonal
+        for t, sign in ((plus, 1.0), (minus, -1.0)):
+            np.testing.assert_allclose(t.T @ t, np.eye(n), atol=1e-12)
+            assert np.linalg.det(t) == pytest.approx(sign, abs=1e-12)
+        # optimal within each component, whatever the conditioning
+        for t, want in ((plus, want_plus), (minus, want_minus)):
+            assert np.sum((t - a) ** 2) <= np.sum((want - a) ** 2) + 1e-12 * scale**2
+        # gain = <T+ - T-, A> = 2 sigma_min sign(det A); det matches LAPACK
+        assert gain == pytest.approx(np.sum((plus - minus) * a), abs=1e-12 * scale)
+        with np.errstate(divide="ignore"):    # LAPACK LU on subnormal input
+            lapack_det = np.linalg.det(a)
+        assert det == pytest.approx(lapack_det, abs=1e-12 * scale**n)
+        assert gain == pytest.approx(2 * s[-1] * np.sign(lapack_det), abs=1e-12 * scale)
+        # the nearest orthogonal matrix takes the det-sign branch, SO at det 0
+        assert singular[0] == (det == 0.0) and n_sing == int(det == 0.0)
+        np.testing.assert_array_equal(projected[0], plus if det >= 0 else minus)
+        assert proj.plus[0] == (det >= 0)
+
+        # where the projections are unique and well conditioned, they equal
+        # the oracle's
+        gaps = np.append(-np.diff(s), s[-1])
+        assume(n == 1 or gaps.min() >= 0.05 * s[0])
+        np.testing.assert_allclose(plus, want_plus, atol=1e-12)
+        np.testing.assert_allclose(minus, want_minus, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n))))
+    def test_rank_one_integer_input_goes_to_so(self, uv):
+        u, v = (np.array(x, dtype=float) for x in uv)
+        a = np.outer(u, v)
+        assume(len(u) > 1 or not a.any())    # n = 1 is singular only at 0
+        self.assert_singular_goes_plus(a)
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.zeros((1, 1)), np.zeros((2, 2)), np.zeros((3, 3)),
+        np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 4.0]),
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+    ], ids=["ones2", "zero1", "zero2", "zero3", "rank1_3", "nilpotent2"])
+    def test_singular_examples_go_to_so(self, a):
+        self.assert_singular_goes_plus(a)
+
+    @staticmethod
+    def assert_singular_goes_plus(a):
+        n = len(a)
+        plus, minus, gain, singular = res = orthogonal_projections(a[None])
+        projected, n_sing = project_orthogonal_stack(a[None])
+        assert res.det[0] == 0.0 and singular[0] and n_sing == 1
+        assert gain[0] == 0.0
+        np.testing.assert_array_equal(projected[0], plus[0])
+        assert np.linalg.det(projected[0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.det(minus[0]) == pytest.approx(-1.0, abs=1e-12)
+        np.testing.assert_allclose(projected[0].T @ projected[0], np.eye(n),
+                                   atol=1e-12)
+
+    def test_subnormal_input_stays_orthogonal(self):
+        a = np.array([[3e-323, -5e-324], [5e-324, 3e-323]])
+        plus, minus, _, _ = orthogonal_projections(a[None])
+        for t in (plus[0], minus[0]):
+            np.testing.assert_allclose(t @ t.T, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(plus[0], [[6 / 37**0.5, -1 / 37**0.5],
+                                             [1 / 37**0.5, 6 / 37**0.5]], atol=1e-15)
+
+    def test_stack_shape_and_rows_independent(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3):
+            mats = rng.standard_normal((4, 5, n, n))
+            projected, _ = project_orthogonal_stack(mats)
+            assert projected.shape == mats.shape
+            for idx in np.ndindex(4, 5):
+                one, _ = project_orthogonal_stack(mats[idx])
+                np.testing.assert_array_equal(one, projected[idx])

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from orthoflow.errors import NumericalHealthError
 from orthoflow.field import GridSpec, MatrixField, plus_volume
-from orthoflow.matgeom import t_minus, t_plus
+from orthoflow.matgeom import (ProjectionResult, project_orthogonal_stack, t_minus,
+                               t_plus)
 from orthoflow.mbo import (MboConfig, delta_e, lyapunov_energy, mbo_run,
                            mbo_step, select_threshold, volume_mbo_step)
 from orthoflow.scenarios import ScenarioSpec, build_initial, reflection_branch, rotation_branch
@@ -292,3 +294,86 @@ class TestSurfaceBackendRun:
         assert np.all(np.diff(es) <= slack)
         assert res.max_frobenius <= np.sqrt(3) + 1e-6
         assert res.max_abs_det <= 1.0 + 1e-6
+
+
+class TestSinglePassStep:
+    """mbo_run checks each field once and carries the plus mask between steps."""
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(MatrixField, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixField, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("volume", [False, True])
+    def test_one_check_per_field_and_one_determinant_pass(self, monkeypatch, volume):
+        g = GridSpec((64, 64))
+        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        target = plus_volume(f) if volume else None
+        cfg = torus_cfg(g, 2 * g.dx, max_iters=8, stop_tol=0.0, volume_target=target)
+        checks = self.count_calls(monkeypatch, "require_orthogonal")
+        dets = self.count_calls(monkeypatch, "dets")
+        res = mbo_run(f, cfg)
+        assert res.iterations == 8
+        assert len(checks) == res.iterations + 1
+        assert len(dets) == 1
+
+    @pytest.mark.parametrize("volume", [False, True])
+    def test_carried_mask_matches_determinants(self, volume):
+        g = GridSpec((64, 64))
+        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        target = plus_volume(f) if volume else None
+        cfg = torus_cfg(g, 2 * g.dx, max_iters=6, stop_tol=0.0, volume_target=target,
+                        snapshot_every=1)
+        res = mbo_run(f, cfg)
+        prev = f
+        for (it, snap), row in zip(res.snapshots, res.log.rows):
+            assert row.plus_volume == plus_volume(snap)
+            flips = np.count_nonzero((snap.dets() > 0) != (prev.dets() > 0))
+            assert row.sign_flips == flips
+            prev = snap
+
+    @pytest.mark.parametrize("step", [mbo_step, volume_mbo_step])
+    def test_carried_mask_equals_fresh_check(self, step):
+        g = GridSpec((64, 64))
+        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        cfg = torus_cfg(g, 2 * g.dx, volume_target=plus_volume(f))
+        new_a, stats_a = step(f, cfg)
+        new_b, stats_b = step(f, cfg, plus=f.dets().reshape(-1) > 0)
+        np.testing.assert_array_equal(new_a.data, new_b.data)
+        assert stats_a == stats_b
+        np.testing.assert_array_equal(stats_a.plus, new_a.dets().reshape(-1) > 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_finite_diffusion_is_a_health_error(self, n):
+        g = GridSpec((8, 8))
+        f = MatrixField.grid_field(g, np.tile(np.eye(n), (8, 8, 1, 1)))
+
+        class NanDiffuser:
+            tau = 0.01
+
+            def diffuse(self, field):
+                data = field.data.copy()
+                data[2, 3, 0, 0] = np.nan
+                return field.copy_with(data)
+
+        with pytest.raises(NumericalHealthError, match="non-finite diffusion"):
+            mbo_run(f, MboConfig(backend=NanDiffuser()))
+
+    def test_non_orthogonal_projection_output_is_a_health_error(self, monkeypatch):
+        import orthoflow.mbo as mbo_module
+
+        def broken_projection(mats):
+            projected, count = project_orthogonal_stack(mats)
+            return ProjectionResult((2.0 * projected, count), np.ones(len(mats), bool),
+                                    np.ones(len(mats)))
+
+        monkeypatch.setattr(mbo_module, "project_orthogonal_stack", broken_projection)
+        g = GridSpec((32, 32))
+        with pytest.raises(NumericalHealthError, match="projection output"):
+            mbo_run(constant_rotation_field(g), torus_cfg(g, 0.01))

@@ -6,7 +6,6 @@ sampled on the grid.
 import numpy as np
 import pytest
 
-from orthoflow.errors import NumericalHealthError
 from orthoflow.field import GridSpec, MatrixField
 from orthoflow.scenarios import rotation_branch
 from orthoflow.torus_heat import TorusDiffuser, diffuse_torus, heat_multiplier
@@ -37,7 +36,8 @@ class TestHeatMultiplier:
         size, tau = 256, 0.0078125
         oracle = sampled_kernel_multipliers(size, tau)
         d = TorusDiffuser(GridSpec((size, size)), tau)
-        assert np.abs(d.multipliers - oracle).max() <= 1e-8
+        # the diffuser keeps the rfftn half spectrum
+        assert np.abs(d.multipliers - oracle[..., :size // 2 + 1]).max() <= 1e-8
 
     def test_tau_positive(self):
         with pytest.raises(ValueError):
@@ -120,17 +120,6 @@ class TestDiffuse:
         a = diffuse_torus(f, 0.01)
         b = diffuse_torus(f, 0.01)
         np.testing.assert_array_equal(a.data, b.data)
-
-    def test_imaginary_residue_raises(self):
-        # a symbol without its conjugate-mode partner makes real data complex
-        g = self.grid()
-        rng = np.random.default_rng(4)
-        f = MatrixField.grid_field(g, rng.standard_normal((64, 64, 2, 2)))
-        d = TorusDiffuser(g, 0.01)
-        d.multipliers = np.zeros_like(d.multipliers)
-        d.multipliers[1, 0] = 1.0
-        with pytest.raises(NumericalHealthError, match="imaginary residue"):
-            d.diffuse(f)
 
     def test_rejects_bad_tau_and_layout(self):
         g = self.grid()
