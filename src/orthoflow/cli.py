@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    orthoflow run --config PATH [--out DIR] [--snapshot-every K] [--threads N]
+    orthoflow [--threads N] run --config PATH [--out DIR] [--snapshot-every K]
     orthoflow tables
     orthoflow check SNAPSHOT
 
@@ -10,7 +10,8 @@ Configs are flat key = value text (# comments); see the README for the
 schema.  Exit codes:
 
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
-            volume target outside (0, total measure)), 4 numerical failure
+            non-finite tau or stop_tol and a volume target outside (0, total
+            measure)), 4 numerical failure
             during the run (DegenerateDeterminantError or
             NumericalHealthError); errors print one line on stderr
     tables  0 all entries match, 3 mismatches
@@ -20,7 +21,6 @@ schema.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -164,7 +164,7 @@ def cmd_run(config_path, out_dir=None, snapshot_every=None) -> int:
     write_snapshot(result.final, out / "final.mbof")
 
     final_energy = lyapunov_energy(result.final, mbo_cfg.backend)
-    final_pv = plus_volume(result.final)
+    final_pv = result.log.rows[-1].plus_volume
     dev = result.final.max_deviation_from_mean()
     status = "converged" if result.converged else "max_iters"
     print(f"{status} iterations={result.iterations} "
@@ -271,10 +271,9 @@ def main(argv=None) -> int:
         description="MBO-type diffusion-generated motion for orthogonal "
                     "matrix-valued fields")
     parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("MBO_THREADS", "1")),
-        help="worker hint, accepted for interface compatibility; results "
-             "are deterministic and identical for any value")
+        "--threads", type=int, default=1,
+        help="ignored: the solver is single-threaded; accepted for "
+             "interface compatibility")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario from a config file")

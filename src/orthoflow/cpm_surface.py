@@ -47,7 +47,6 @@ __all__ = [
     "BandSet",
     "build_band",
     "SurfaceDiffuser",
-    "diffuse_surface",
 ]
 
 
@@ -73,8 +72,8 @@ def band_width(tau: float, eps: float) -> float:
     adds at most ~3.5% to the achieved tail in the ranges of interest, so
     T(w_b/(2 sqrt(tau))) <= 1.05 eps always holds for the returned width.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
 
@@ -101,8 +100,8 @@ def spectral_grid(tau: float, eps: float, R: float) -> ModeGrid:
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
-    if tau <= 0 or R <= 0:
-        raise ValueError("tau and R must be positive")
+    if not (0 < tau < np.inf and 0 < R < np.inf):
+        raise ValueError("tau and R must be positive and finite")
     log_eps = abs(np.log(eps))
     h = min(np.pi / R, np.pi / (2.0 * np.sqrt(tau * log_eps)))
     m_real = np.sqrt(abs(np.log(np.pi * eps / (2.0 * h * np.sqrt(tau)))) / tau) / h
@@ -325,7 +324,6 @@ class BandSet:
         self.quad_points = quad_points
         self.quad_weights = quad_weights
         self.closest_points = closest_points
-        self._diffusers = {}
 
     @property
     def n_q(self) -> int:
@@ -408,8 +406,8 @@ class SurfaceDiffuser:
     """
 
     def __init__(self, band: BandSet, tau: float, eps: float | None = None):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < np.inf:
+            raise ValueError("tau must be positive and finite")
         eps = band.spec.eps if eps is None else eps
         self.band = band
         self.tau = tau
@@ -435,15 +433,10 @@ class SurfaceDiffuser:
         self._tgt_plan = GridderPlan(tgt, self.modes, eps)
         self._damp = np.exp(-self.modes.mode_norms_sq() * self.tau_scaled)
         self._constant = band.n_q * (self.modes.h / (2.0 * np.pi)) ** 3
-        self._surface_weights = band.surface_weights()
 
         # calibrate the residual scalar on the constant field
         raw = self._apply(np.ones((band.n_q, 1)))[:, 0]
         self._kappa = 1.0 / float(raw.max())
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._surface_weights
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
         """Raw pipeline on (n_q, C) real values, before kappa."""
@@ -471,14 +464,3 @@ class SurfaceDiffuser:
         flat = f.flat().reshape(self.band.n_q, f.n * f.n)
         out = self.diffuse_values(flat)
         return f.copy_with(out.reshape(self.band.n_q, f.n, f.n))
-
-
-def diffuse_surface(band: BandSet, f: MatrixField, tau: float,
-                    eps: float | None = None) -> MatrixField:
-    """One surface heat step of length tau (cached diffuser per (tau, eps))."""
-    key = (tau, eps)
-    diffuser = band._diffusers.get(key)
-    if diffuser is None:
-        diffuser = SurfaceDiffuser(band, tau, eps)
-        band._diffusers[key] = diffuser
-    return diffuser.diffuse(f)

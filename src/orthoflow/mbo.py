@@ -18,6 +18,7 @@ along both iterations, which the run loop records and the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import Protocol
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .field import EnergyLog, MatrixField, plus_volume  # noqa: F401
 from .matgeom import orthogonal_projections, project_orthogonal_stack
 
 __all__ = [
+    "Diffuser",
     "MboConfig",
     "StepStats",
     "ThresholdResult",
@@ -40,23 +42,33 @@ __all__ = [
 ]
 
 
-@dataclass
-class MboConfig:
-    """Stopping rules and optional volume constraint for a run.
+class Diffuser(Protocol):
+    """A heat step of fixed length tau: TorusDiffuser, SurfaceDiffuser, or
+    anything else with the same two members.
 
-    backend is any object with .tau and .diffuse(field) -> field
-    (TorusDiffuser or SurfaceDiffuser).
+    The step and the Lyapunov energy both use it, so the energy a run logs is
+    measured with the diffusion that moved the field.
     """
 
-    backend: object
+    @property
+    def tau(self) -> float: ...
+
+    def diffuse(self, f: MatrixField) -> MatrixField: ...
+
+
+@dataclass
+class MboConfig:
+    """Stopping rules and optional volume constraint for a run."""
+
+    backend: Diffuser
     max_iters: int = 10_000
     stop_tol: float = 1e-8
     volume_target: float | None = None
     snapshot_every: int = 0
 
     def __post_init__(self):
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be >= 0")
+        if not 0 <= self.stop_tol < np.inf:
+            raise ValueError("stop_tol must be finite and >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -67,6 +79,7 @@ class MboConfig:
 
 @dataclass(frozen=True)
 class StepStats:
+    energy: float            # Lyapunov energy of the field entering the step
     max_change: float
     sign_flips: int
     singular_count: int
@@ -100,16 +113,14 @@ def _energy(f: MatrixField, diffused: MatrixField, tau: float) -> float:
     return float(np.sum(f.weights * (f.n - inner)) / tau)
 
 
-def lyapunov_energy(f: MatrixField, diffuser, diffused: MatrixField | None = None) -> float:
+def lyapunov_energy(f: MatrixField, diffuser: Diffuser) -> float:
     """Interpolated Dirichlet energy of an orthogonal field.
 
     Zero for constant fields; non-negative up to roundoff; non-increasing
     along MBO iterations run with the same diffuser.
     """
     f.require_orthogonal()
-    if diffused is None:
-        diffused = diffuser.diffuse(f)
-    return _energy(f, diffused, diffuser.tau)
+    return _energy(f, diffuser.diffuse(f), diffuser.tau)
 
 
 def _max_frobenius(data: np.ndarray) -> float:
@@ -118,23 +129,23 @@ def _max_frobenius(data: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", flat, flat).max()))
 
 
-def _start_step(f: MatrixField, cfg: MboConfig, diffused, plus):
-    """Diffuse f and check the result is finite; checks f unless plus is given.
+def _start_step(f: MatrixField, cfg: MboConfig, plus):
+    """Diffuse f, check the result is finite and take f's energy from it.
 
-    Returns (diffused, its largest pointwise Frobenius norm, f's plus mask).
+    Checks f unless plus is given.  Returns (diffused, f's energy, the
+    largest pointwise Frobenius norm of diffused, f's plus mask).
     """
     if plus is None:
         f.require_orthogonal()
         plus = f.dets().reshape(-1) > 0
-    if diffused is None:
-        diffused = cfg.backend.diffuse(f)
+    diffused = cfg.backend.diffuse(f)
     frob = _max_frobenius(diffused.data)
     if not np.isfinite(frob):
         raise NumericalHealthError("non-finite diffusion result")
-    return diffused, frob, plus
+    return diffused, _energy(f, diffused, cfg.tau), frob, plus
 
 
-def _finish_step(f, new_data, frob, singular, det, old_plus, new_plus):
+def _finish_step(f, new_data, energy, frob, singular, det, old_plus, new_plus):
     """Wrap and check the projection output; one pass over its statistics."""
     new = f.copy_with(new_data.reshape(f.data.shape))
     try:
@@ -143,22 +154,22 @@ def _finish_step(f, new_data, frob, singular, det, old_plus, new_plus):
         raise NumericalHealthError(f"projection output: {exc}") from exc
     max_change = _max_frobenius(new.data - f.data)
     flips = int(np.count_nonzero(new_plus != old_plus))
-    return new, StepStats(max_change, flips, singular, frob,
+    return new, StepStats(energy, max_change, flips, singular, frob,
                           float(np.abs(det).max()), new_plus)
 
 
-def mbo_step(f: MatrixField, cfg: MboConfig,
-             diffused: MatrixField | None = None, plus: np.ndarray | None = None):
+def mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
     """Diffuse then project pointwise onto the nearest orthogonal matrix.
 
     plus is f's flattened SO(n) mask when the caller has it from the step
     that made (and checked) f, as mbo_run does; without it f is checked
     here and its mask is read off its determinants.
     """
-    diffused, frob, plus = _start_step(f, cfg, diffused, plus)
+    diffused, energy, frob, plus = _start_step(f, cfg, plus)
     proj = project_orthogonal_stack(diffused.flat())
     projected, n_singular = proj
-    return _finish_step(f, projected, frob, n_singular, proj.det, plus, proj.plus)
+    return _finish_step(f, projected, energy, frob, n_singular, proj.det,
+                        plus, proj.plus)
 
 
 def delta_e(diffused: MatrixField) -> np.ndarray:
@@ -191,30 +202,30 @@ def select_threshold(values, weights, target: float) -> ThresholdResult:
     return ThresholdResult(float(lam), plus)
 
 
-def volume_mbo_step(f: MatrixField, cfg: MboConfig,
-                    diffused: MatrixField | None = None, plus: np.ndarray | None = None):
+def volume_mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
     """Diffuse, then reassign to T+/T- so the plus measure matches the target.
 
     plus is as for mbo_step.
     """
     if cfg.volume_target is None:
         raise ValueError("volume_mbo_step needs cfg.volume_target")
-    diffused, frob, plus = _start_step(f, cfg, diffused, plus)
+    diffused, energy, frob, plus = _start_step(f, cfg, plus)
     proj = orthogonal_projections(diffused.flat())
     t_plus, t_minus, gain, singular = proj
     thr = select_threshold(gain, f.weights, cfg.volume_target)
     new_plus = np.zeros(f.npoints, dtype=bool)
     new_plus[thr.plus_indices] = True
     new_data = np.where(new_plus[:, None, None], t_plus, t_minus)
-    return _finish_step(f, new_data, frob, int(np.count_nonzero(singular)),
+    return _finish_step(f, new_data, energy, frob, int(np.count_nonzero(singular)),
                         proj.det, plus, new_plus)
 
 
 def mbo_run(initial: MatrixField, cfg: MboConfig) -> RunResult:
     """Iterate (volume-)MBO steps until the field stops changing.
 
-    Per iteration the log records the pre-step energy (so the energy column
-    is the Lyapunov sequence), the post-step plus volume, the max pointwise
+    Per iteration the log records the pre-step energy, which the step takes
+    from its own diffusion (so the energy column is the Lyapunov sequence and
+    each iteration diffuses once), the post-step plus volume, the max pointwise
     Frobenius change, and the determinant sign-flip count.  The first step
     checks the initial field; every step checks its own projection output
     and hands its plus mask to the next, so each field is checked once.
@@ -231,11 +242,9 @@ def mbo_run(initial: MatrixField, cfg: MboConfig) -> RunResult:
     step = volume_mbo_step if cfg.volume_target is not None else mbo_step
     iteration = 0
     for iteration in range(1, cfg.max_iters + 1):
-        diffused = cfg.backend.diffuse(f)
-        energy = _energy(f, diffused, cfg.tau)
-        new, stats = step(f, cfg, diffused=diffused, plus=plus)
+        new, stats = step(f, cfg, plus=plus)
         plus = stats.plus
-        log.append(iteration, energy, float(np.sum(weights[plus])),
+        log.append(iteration, stats.energy, float(np.sum(weights[plus])),
                    stats.max_change, stats.sign_flips)
         max_frob = max(max_frob, stats.max_frobenius)
         max_absdet = max(max_absdet, stats.max_abs_det)

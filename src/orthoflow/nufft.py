@@ -43,6 +43,8 @@ DIRECT_GUARD = 10**8
 ES_BETA_PER_WIDTH = 2.30
 # Gauss-Legendre nodes per stencil point for the kernel transform
 ES_QUAD_PER_WIDTH = 4
+# points per sparse spreading block: bounds the block's memory per call
+SPREAD_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,11 @@ class GridderPlan:
     surface diffusion solver caches between iterations.
     """
 
-    def __init__(self, points, modes: ModeGrid, tol: float,
-                 chunk: int = 2048):
+    def __init__(self, points, modes: ModeGrid, tol: float):
         points = _check_points(points)
         self.modes = modes
         self.tol = _check_tol(tol)
         self.npts = points.shape[0]
-        self.chunk = chunk
 
         m = modes.m_half
         self.n_over = 4 * m
@@ -169,8 +169,8 @@ class GridderPlan:
     def _blocks(self):
         """Sparse (points, n_over^3) spreading blocks, one per point chunk."""
         kcube = self.kdim**3
-        for lo in range(0, self.npts, self.chunk):
-            hi = min(lo + self.chunk, self.npts)
+        for lo in range(0, self.npts, SPREAD_CHUNK):
+            hi = min(lo + SPREAD_CHUNK, self.npts)
             ids = (self._ix[lo:hi, :, None, None]
                    + self._iy[lo:hi, None, :, None]
                    + self._iz[lo:hi, None, None, :])

@@ -24,13 +24,19 @@ from .field import GridSpec, MatrixField
 __all__ = ["heat_multiplier", "TorusDiffuser", "diffuse_torus"]
 
 
-def heat_multiplier(k, tau: float, extent) -> float:
-    """Fourier symbol of the periodic heat kernel at integer mode vector k."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    k = np.asarray(k, dtype=float)
-    extent = np.asarray(extent, dtype=float)
-    return float(np.exp(-4.0 * np.pi**2 * tau * np.sum((k / extent) ** 2)))
+def heat_multiplier(k, tau: float, extent):
+    """Fourier symbol of the periodic heat kernel at integer modes k.
+
+    k holds one mode value or array per axis; the arrays broadcast against
+    each other, so scalars give the symbol at one mode and per-axis vectors
+    reshaped to (size, 1, ...), (1, size, ...), ... give it on a whole grid.
+    """
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
+    ksq = 0.0
+    for k_i, length in zip(k, extent, strict=True):
+        ksq = ksq + (np.asarray(k_i, dtype=float) / length) ** 2
+    return np.exp(-4.0 * np.pi**2 * tau * ksq)
 
 
 class TorusDiffuser:
@@ -41,18 +47,16 @@ class TorusDiffuser:
     """
 
     def __init__(self, grid: GridSpec, tau: float):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
         self.grid = grid
         self.tau = tau
-        ksq = 0.0
+        modes = []
         for axis, size in enumerate(grid.sizes):
             last = axis == grid.d - 1
             k = (np.fft.rfftfreq if last else np.fft.fftfreq)(size) * size
             shape = [1] * grid.d
             shape[axis] = len(k)
-            ksq = ksq + (k.reshape(shape) / grid.extent[axis]) ** 2
-        self.multipliers = np.exp(-4.0 * np.pi**2 * tau * ksq)
+            modes.append(k.reshape(shape))
+        self.multipliers = heat_multiplier(modes, tau, grid.extent)
 
     def diffuse(self, f: MatrixField) -> MatrixField:
         if not f.is_grid or f.grid != self.grid:

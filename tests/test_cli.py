@@ -1,5 +1,6 @@
 """CLI: config parsing, run/tables/check round trips, exit codes."""
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from orthoflow.cli import (EXIT_NUMERICAL, cmd_check, cmd_run, cmd_tables, main,
                            parse_config)
 from orthoflow.errors import (ConfigurationError, DegenerateDeterminantError,
                               NumericalHealthError)
-from orthoflow.field import read_snapshot
+from orthoflow.field import plus_volume, read_snapshot
 
 
 def write_config(path, text):
@@ -118,6 +119,14 @@ class TestRunAndCheck:
         capsys.readouterr()
         assert (dir1 / "final.mbof").read_bytes() == (dir2 / "final.mbof").read_bytes()
 
+    def test_final_plus_volume_matches_final_snapshot(self, tmp_path, capsys):
+        code, out_dir = self.run_small_disk(tmp_path)
+        out = capsys.readouterr().out
+        assert code == 0
+        printed = out.split("final_plus_volume=")[1].split()[0]
+        final = read_snapshot(out_dir / "final.mbof")
+        assert printed == f"{plus_volume(final):.6f}"
+
 
 class TestMain:
     def test_tables_subcommand(self, capsys):
@@ -135,6 +144,11 @@ class TestMain:
                      "--out", str(tmp_path / "o")])
         capsys.readouterr()
         assert code == 0
+
+    def test_threads_env_value_is_ignored(self, monkeypatch, capsys):
+        monkeypatch.setenv("MBO_THREADS", "abc")
+        assert main(["tables"]) == 0
+        capsys.readouterr()
 
     def test_volume_target_initial_keyword(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.txt", """
@@ -215,3 +229,38 @@ class TestCheckReport:
         assert cmd_check(path) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+class TestNonFiniteRunParameters:
+    TORUS = """
+        scenario.name = torus_disk_n1
+        scenario.disk_radius = 0.1
+        grid.size = 32
+        run.max_iters = 3
+    """
+    SPHERE = """
+        scenario.name = sphere_two_patches
+        surface.dx = 0.25
+        surface.p = 1
+        run.max_iters = 1
+    """
+
+    @pytest.mark.parametrize("base, line", [
+        (TORUS, "run.tau = nan"),
+        (TORUS, "run.tau = inf"),
+        (TORUS, "run.tau = -inf"),
+        (SPHERE, "run.tau = nan"),
+        (SPHERE, "run.tau = inf"),
+        (TORUS, "run.stop_tol = nan"),
+        (TORUS, "run.stop_tol = inf"),
+    ], ids=["torus_tau_nan", "torus_tau_inf", "torus_tau_neg_inf", "sphere_tau_nan",
+            "sphere_tau_inf", "stop_tol_nan", "stop_tol_inf"])
+    def test_exit_one_with_one_error_line(self, tmp_path, capsys, base, line):
+        cfg = write_config(tmp_path / "cfg.txt", base + "\n" + line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cmd_run(cfg, out_dir=tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "error:" not in captured.out

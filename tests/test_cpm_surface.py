@@ -244,3 +244,13 @@ class TestDiffuseSurface:
         f = MatrixField.cloud_field(pts, np.ones(10), np.zeros((10, 2, 2)))
         with pytest.raises(ValueError):
             sphere_diffuser.diffuse(f)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_non_finite_tau_rejected(sphere_band, tau):
+    with pytest.raises(ValueError, match="finite"):
+        band_width(tau, EPS)
+    with pytest.raises(ValueError, match="finite"):
+        spectral_grid(tau, EPS, np.pi)
+    with pytest.raises(ValueError, match="finite"):
+        SurfaceDiffuser(sphere_band, tau, EPS)

@@ -377,3 +377,56 @@ class TestSinglePassStep:
         g = GridSpec((32, 32))
         with pytest.raises(NumericalHealthError, match="projection output"):
             mbo_run(constant_rotation_field(g), torus_cfg(g, 0.01))
+
+
+class CountingDiffuser:
+    """Pass-through Diffuser that counts diffuse calls."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.calls = 0
+
+    @property
+    def tau(self) -> float:
+        return self.backend.tau
+
+    def diffuse(self, f):
+        self.calls += 1
+        return self.backend.diffuse(f)
+
+
+class TestDiffuserContract:
+    """The step owns its diffusion: one diffuse per iteration, and the logged
+    energy is the Lyapunov energy of the field entering the step."""
+
+    @pytest.mark.parametrize("volume", [False, True])
+    def test_one_diffuse_per_iteration_and_logged_energy(self, volume):
+        g = GridSpec((64, 64))
+        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        target = plus_volume(f) if volume else None
+        inner = TorusDiffuser(g, 2 * g.dx)
+        counting = CountingDiffuser(inner)
+        cfg = MboConfig(backend=counting, max_iters=6, stop_tol=0.0,
+                        volume_target=target, snapshot_every=1)
+        res = mbo_run(f, cfg)
+        assert res.iterations == 6
+        assert counting.calls == res.iterations
+        entering = [f] + [snap for _, snap in res.snapshots[:-1]]
+        assert len(entering) == len(res.log.rows)
+        for field_in, row in zip(entering, res.log.rows):
+            assert row.energy == lyapunov_energy(field_in, inner)
+
+    @pytest.mark.parametrize("step", [mbo_step, volume_mbo_step])
+    def test_step_reports_pre_step_energy(self, step):
+        g = GridSpec((64, 64))
+        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        counting = CountingDiffuser(TorusDiffuser(g, 2 * g.dx))
+        _, stats = step(f, MboConfig(backend=counting, volume_target=plus_volume(f)))
+        assert counting.calls == 1
+        assert stats.energy == lyapunov_energy(f, counting.backend)
+
+    @pytest.mark.parametrize("stop_tol", [np.nan, np.inf, -1.0])
+    def test_stop_tol_must_be_finite_and_non_negative(self, stop_tol):
+        g = GridSpec((8, 8))
+        with pytest.raises(ValueError, match="stop_tol"):
+            torus_cfg(g, 0.01, stop_tol=stop_tol)

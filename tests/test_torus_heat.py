@@ -130,3 +130,36 @@ class TestDiffuse:
         other = TorusDiffuser(GridSpec((32, 32)), 0.01)
         with pytest.raises(ValueError):
             other.diffuse(f)
+
+
+class TestHeatSymbolOnce:
+    """heat_multiplier is the one symbol formula; the diffuser evaluates it."""
+
+    def test_per_axis_vectors_broadcast(self):
+        k0 = np.arange(-3, 4).reshape(-1, 1)
+        k1 = np.arange(0, 5).reshape(1, -1)
+        tau, extent = 0.01, (1.0, 2.0)
+        table = heat_multiplier((k0, k1), tau, extent)
+        assert table.shape == (7, 5)
+        for i, a in enumerate(k0[:, 0]):
+            for j, b in enumerate(k1[0]):
+                want = np.exp(-4 * np.pi**2 * tau * ((a / 1.0) ** 2 + (b / 2.0) ** 2))
+                assert table[i, j] == pytest.approx(want, rel=1e-14)
+                assert heat_multiplier((a, b), tau, extent) == pytest.approx(want, rel=1e-14)
+
+    def test_diffuser_multipliers_are_the_symbol(self):
+        g = GridSpec((8, 10), extent=(1.0, 2.0))
+        tau = 0.003
+        d = TorusDiffuser(g, tau)
+        k0 = np.fft.fftfreq(8) * 8
+        k1 = np.fft.rfftfreq(10) * 10
+        assert d.multipliers.shape == (8, 6)
+        np.testing.assert_array_equal(
+            d.multipliers, heat_multiplier((k0[:, None], k1[None, :]), tau, g.extent))
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            heat_multiplier((1, 1), tau, (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            TorusDiffuser(GridSpec((8, 8)), tau)
