@@ -10,8 +10,8 @@ Configs are flat key = value text (# comments); see the README for the
 schema.  Exit codes:
 
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
-            non-finite tau or stop_tol and a volume target outside (0, total
-            measure)), 4 numerical failure
+            non-finite tau, stop_tol, surface.dx or surface.w_b and a volume
+            target outside (0, total measure)), 4 numerical failure
             during the run (DegenerateDeterminantError or
             NumericalHealthError); errors print one line on stderr
     tables  0 all entries match, 3 mismatches
@@ -29,8 +29,8 @@ import numpy as np
 from .cpm_surface import BandSpec, SurfaceDiffuser, band_width, build_band, spectral_grid
 from .errors import (ConfigurationError, DegenerateDeterminantError,
                      NumericalHealthError, SnapshotFormatError, UnderResolvedError)
-from .field import (GridSpec, interface_cells, plus_region_stats, plus_volume,
-                    read_snapshot, winding_pair, write_snapshot)
+from .field import (GridSpec, _interface_cells, _plus_region_stats, _plus_volume,
+                    _winding_pair, plus_volume, read_snapshot, write_snapshot)
 from .mbo import MboConfig, lyapunov_energy, mbo_run
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, build_initial, builtin_surface
 from .torus_heat import TorusDiffuser
@@ -233,28 +233,29 @@ def cmd_check(snapshot_path, out=None) -> int:
     out = out or sys.stdout
     try:
         f = read_snapshot(snapshot_path)
-        f.require_orthogonal()
+        defect = f.require_orthogonal()
     except (SnapshotFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # one orthogonality check and one determinant pass feed every diagnostic
     kind = "grid" if f.is_grid else "cloud"
     dets = f.dets()
     print(f"flavor={kind} n={f.n} points={f.npoints}", file=out)
-    print(f"orthogonality_defect={f.orthogonality_defect():.3e} "
+    print(f"orthogonality_defect={defect:.3e} "
           f"det_min={dets.min():.12f} det_max={dets.max():.12f}", file=out)
-    print(f"plus_volume={plus_volume(f):.6f} of total {f.total_measure:.6f}",
+    print(f"plus_volume={_plus_volume(f, dets):.6f} of total {f.total_measure:.6f}",
           file=out)
     if f.is_grid and f.grid.d == 2:
-        cells = interface_cells(f)
+        cells = _interface_cells(dets)
         print(f"interface_cells={len(cells)}", file=out)
-        stats = plus_region_stats(f)
+        stats = _plus_region_stats(f, dets)
         ratio = "undefined" if stats.isoperimetric_ratio is None \
             else f"{stats.isoperimetric_ratio:.4f}"
         print(f"area={stats.area:.6f} perimeter={stats.perimeter_estimate:.6f} "
               f"isoperimetric_ratio={ratio}", file=out)
         if f.n == 2:
             try:
-                ix, iy = winding_pair(f)
+                ix, iy = _winding_pair(f)
                 print(f"winding=({ix},{iy})", file=out)
             except UnderResolvedError as exc:
                 print(f"winding=under-resolved ({exc})", file=out)

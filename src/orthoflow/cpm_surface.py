@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 from scipy.special import erfc
 
 from .errors import ConfigurationError, NumericalHealthError
@@ -156,64 +157,85 @@ class SurfaceOfRevolution(Surface):
     """Profile curve (axial(t), radial(t)) rotated about the x-axis.
 
     The closest-point search reduces to the 2D profile in the (axial, radial)
-    half-plane: dense scan over presampled parameters, then golden-section
-    refinement.  Ties resolve to the smallest parameter; on-axis points take
-    the (y, z) direction (1, 0).
+    half-plane.  A KD-tree over the presampled profile points gives the
+    nearest sample (ties resolve to the smallest parameter), and a golden-
+    section search refines the parameter between that sample's neighbours.
+    On-axis points take the (y, z) direction (1, 0).
     """
 
     _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
     def __init__(self, axial, radial, t_range=(-1.0, 1.0), samples: int = 1024):
+        if samples < 2:
+            raise ValueError("need at least 2 profile samples")
         self.axial = axial
         self.radial = radial
         self.t0, self.t1 = float(t_range[0]), float(t_range[1])
         self._ts = np.linspace(self.t0, self.t1, samples)
         self._prof_x = np.asarray(axial(self._ts), dtype=float)
         self._prof_r = np.asarray(radial(self._ts), dtype=float)
+        if not (np.all(np.isfinite(self._prof_x)) and np.all(np.isfinite(self._prof_r))):
+            raise ValueError("profile samples must be finite")
         if np.any(self._prof_r < -1e-12):
             raise ValueError("radial profile must be non-negative")
+        self._tree = cKDTree(np.column_stack([self._prof_x, self._prof_r]))
+
+    def _seed(self, px, ps):
+        """Nearest profile sample and its squared distance.
+
+        The tree returns the two nearest samples; they are ranked by the
+        squared distance computed here (the tree's rounded Euclidean
+        distances can tie where these differ), then by index, so a tie
+        between them goes to the smaller parameter.
+        """
+        _, j = self._tree.query(np.column_stack([px, ps]), k=2)
+        d2 = (self._prof_x[j] - px[:, None]) ** 2 + (self._prof_r[j] - ps[:, None]) ** 2
+        second = (d2[:, 1] < d2[:, 0]) | ((d2[:, 1] == d2[:, 0]) & (j[:, 1] < j[:, 0]))
+        return np.where(second, j[:, 1], j[:, 0]), np.where(second, d2[:, 1], d2[:, 0])
 
     def _closest_param(self, px, ps):
-        # dense scan: first index attains the min (smallest t on ties)
-        d2 = (self._prof_x[None, :] - px[:, None]) ** 2 + \
-             (self._prof_r[None, :] - ps[:, None]) ** 2
-        j = np.argmin(d2, axis=1)
+        j, seed_d2 = self._seed(px, ps)
         ts = self._ts
-        lo = ts[np.maximum(j - 1, 0)]
-        hi = ts[np.minimum(j + 1, len(ts) - 1)]
-        # vectorized golden-section to ~1e-12 bracket width
+        a = ts[np.maximum(j - 1, 0)]
+        b = ts[np.minimum(j + 1, len(ts) - 1)]
         g = self._GOLDEN
 
         def f(t):
             return (np.asarray(self.axial(t)) - px) ** 2 \
                 + (np.asarray(self.radial(t)) - ps) ** 2
 
-        a, b = lo.copy(), hi.copy()
+        # golden section to ~1e-12 bracket width; each step keeps one
+        # interior point and its value and evaluates the profile once
+        c = b - g * (b - a)
+        d = a + g * (b - a)
+        fc, fd = f(c), f(d)
         for _ in range(70):
-            c = b - g * (b - a)
-            d = a + g * (b - a)
-            take_c = f(c) < f(d)
-            b = np.where(take_c, d, b)
-            a = np.where(take_c, a, c)
-        return 0.5 * (a + b)
+            left = fc < fd                      # the minimum lies in [a, d]
+            a = np.where(left, a, c)
+            b = np.where(left, d, b)
+            new = np.where(left, b - g * (b - a), a + g * (b - a))
+            fnew = f(new)
+            c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
+                            np.where(left, fnew, fd), np.where(left, fc, fnew))
+        t = 0.5 * (a + b)
+        # where rounding in the profile outweighs the refinement (a query on
+        # a sample next to the sqrt-like tip of the peanut), keep the sample
+        return np.where(f(t) <= seed_d2, t, ts[j])
 
     def closest(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(points)):
+            raise ValueError("closest: query points must be finite")
+        px = points[:, 0]
+        ps = np.hypot(points[:, 1], points[:, 2])
+        t = self._closest_param(px, ps)
+        on_axis = ps == 0.0
+        safe = np.where(on_axis, 1.0, ps)
+        cr = np.asarray(self.radial(t), dtype=float)
         out = np.empty_like(points)
-        chunk = 16384
-        for lo in range(0, len(points), chunk):
-            hi = min(lo + chunk, len(points))
-            px = points[lo:hi, 0]
-            ps = np.hypot(points[lo:hi, 1], points[lo:hi, 2])
-            t = self._closest_param(px, ps)
-            cx = np.asarray(self.axial(t), dtype=float)
-            cr = np.asarray(self.radial(t), dtype=float)
-            on_axis = ps == 0.0
-            dir_y = np.where(on_axis, 1.0, points[lo:hi, 1] / np.where(on_axis, 1.0, ps))
-            dir_z = np.where(on_axis, 0.0, points[lo:hi, 2] / np.where(on_axis, 1.0, ps))
-            out[lo:hi, 0] = cx
-            out[lo:hi, 1] = cr * dir_y
-            out[lo:hi, 2] = cr * dir_z
+        out[:, 0] = np.asarray(self.axial(t), dtype=float)
+        out[:, 1] = cr * np.where(on_axis, 1.0, points[:, 1] / safe)
+        out[:, 2] = cr * np.where(on_axis, 0.0, points[:, 2] / safe)
         return out
 
     def bounding_box(self):
@@ -256,7 +278,7 @@ def peanut_surface() -> SurfaceOfRevolution:
     """Peanut of revolution: x(t) = 3t - t^3, rho = sqrt((1+x^2)(4-x^2))/2."""
 
     def axial(t):
-        return 3.0 * t - t**3
+        return 3.0 * t - t * t * t
 
     def radial(t):
         x = axial(t)
@@ -287,8 +309,9 @@ class BandSpec:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.dx <= 0 or self.w_b <= 0:
-            raise ConfigurationError("dx and w_b must be positive")
+        for name, value in (("dx", self.dx), ("w_b", self.w_b)):
+            if not 0 < value < np.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
         if self.w_b < self.dx:
             raise ConfigurationError(
                 f"band width {self.w_b:g} below grid spacing {self.dx:g}: empty band")

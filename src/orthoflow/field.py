@@ -182,10 +182,12 @@ class MatrixField:
                     sq += 2.0 * g * g
         return float(np.sqrt(sq.max()))
 
-    def require_orthogonal(self, tol: float = ORTHOGONALITY_TOL):
+    def require_orthogonal(self, tol: float = ORTHOGONALITY_TOL) -> float:
+        """Raise ValueError unless the defect is at most tol; return the defect."""
         defect = self.orthogonality_defect()
         if not defect <= tol:
             raise ValueError(f"field is not orthogonal: defect {defect:.3e} > {tol:g}")
+        return defect
 
     def max_deviation_from_mean(self) -> float:
         mean = self.flat().mean(axis=0)
@@ -194,13 +196,20 @@ class MatrixField:
 
 # ---------------------------------------------------------------------------
 # Determinant-sign diagnostics
+#
+# Each public function checks that its field is orthogonal and computes the
+# determinants; the private cores take determinants already computed from a
+# checked field, so a caller that reports several diagnostics does both once.
 # ---------------------------------------------------------------------------
 
 def plus_volume(f: MatrixField) -> float:
     """Measure of the region where det A > 0 (weights of plus points)."""
     f.require_orthogonal()
-    d = f.dets().reshape(-1)
-    return float(np.sum(f.weights[d > 0]))
+    return _plus_volume(f, f.dets())
+
+
+def _plus_volume(f: MatrixField, det: np.ndarray) -> float:
+    return float(np.sum(f.weights[det.reshape(-1) > 0]))
 
 
 def winding_pair(f: MatrixField) -> tuple[int, int]:
@@ -214,6 +223,10 @@ def winding_pair(f: MatrixField) -> tuple[int, int]:
     if not f.is_grid or f.grid.d != 2 or f.n != 2:
         raise ValueError("winding_pair needs a 2x2 field on a 2D grid")
     f.require_orthogonal()
+    return _winding_pair(f)
+
+
+def _winding_pair(f: MatrixField) -> tuple[int, int]:
     center = tuple(s // 2 for s in f.grid.sizes)
     out = []
     for axis in range(2):
@@ -247,7 +260,10 @@ def interface_cells(f: MatrixField) -> np.ndarray:
     if not f.is_grid:
         raise ValueError("interface_cells needs a grid field")
     f.require_orthogonal()
-    det = f.dets()
+    return _interface_cells(f.dets())
+
+
+def _interface_cells(det: np.ndarray) -> np.ndarray:
     changed = np.zeros(det.shape, dtype=bool)
     for mask in _sign_changes(det):
         changed |= mask
@@ -272,8 +288,12 @@ def plus_region_stats(f: MatrixField) -> PlusRegionStats:
     """
     if not f.is_grid or f.grid.d != 2:
         raise ValueError("plus_region_stats needs a 2D grid field")
-    area = plus_volume(f)
-    det = f.dets()
+    f.require_orthogonal()
+    return _plus_region_stats(f, f.dets())
+
+
+def _plus_region_stats(f: MatrixField, det: np.ndarray) -> PlusRegionStats:
+    area = _plus_volume(f, det)
     crossings = sum(int(np.count_nonzero(m)) for m in _sign_changes(det))
     perimeter = (np.pi / 4.0) * crossings * f.grid.dx
     if area <= 0.0 or perimeter <= 0.0:

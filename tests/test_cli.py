@@ -12,7 +12,9 @@ from orthoflow.cli import (EXIT_NUMERICAL, cmd_check, cmd_run, cmd_tables, main,
                            parse_config)
 from orthoflow.errors import (ConfigurationError, DegenerateDeterminantError,
                               NumericalHealthError)
-from orthoflow.field import plus_volume, read_snapshot
+from orthoflow.field import (GridSpec, MatrixField, interface_cells, plus_region_stats,
+                             plus_volume, read_snapshot, winding_pair, write_snapshot)
+from orthoflow.scenarios import ScenarioSpec, build_initial
 
 
 def write_config(path, text):
@@ -217,6 +219,31 @@ class TestCheckReport:
         assert float(fields["det_min"]) == pytest.approx(-1.0, abs=1e-12)
         assert float(fields["det_max"]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_check_and_one_determinant_pass(self, tmp_path, capsys, monkeypatch):
+        f = build_initial(ScenarioSpec("torus_star_defect", grid=GridSpec((32, 32))))
+        path = tmp_path / "s.mbof"
+        write_snapshot(f, path)
+        calls = {"orthogonality_defect": 0, "dets": 0}
+        for name in calls:
+            original = getattr(MatrixField, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(MatrixField, name, counted)
+        assert cmd_check(path) == 0
+        out = capsys.readouterr().out
+        assert calls == {"orthogonality_defect": 1, "dets": 1}
+        monkeypatch.undo()
+        # the report equals what the public, self-checking diagnostics give
+        stats = plus_region_stats(f)
+        ix, iy = winding_pair(f)
+        assert f"plus_volume={plus_volume(f):.6f} " in out
+        assert f"interface_cells={len(interface_cells(f))}\n" in out
+        assert f"area={stats.area:.6f} perimeter={stats.perimeter_estimate:.6f} " in out
+        assert f"winding=({ix},{iy})\n" in out
+
     @pytest.mark.parametrize("blob", [
         b"MBOF" + struct.pack("<IIBI2Q2d", 1, 2, 0, 2, 2**31, 2**31, 1.0, 1.0) + b"\0" * 64,
         b"MBOF" + struct.pack("<IIBI2Q2d", 1, 0, 0, 2, 8, 8, 1.0, 1.0),
@@ -264,3 +291,17 @@ class TestNonFiniteRunParameters:
         assert code == 1
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "error:" not in captured.out
+
+    @pytest.mark.parametrize("key, value", [
+        ("dx", "nan"), ("dx", "inf"), ("w_b", "nan"), ("w_b", "inf"), ("w_b", "-inf"),
+    ])
+    def test_non_finite_band_parameter_named(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.txt",
+                           self.SPHERE + f"\nsurface.{key} = {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cmd_run(cfg, out_dir=tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {key} must be positive and finite")
+        assert captured.err.count("\n") == 1

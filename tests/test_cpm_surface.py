@@ -7,10 +7,13 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser,
-                                    band_width, build_band, closest_point,
-                                    peanut_surface, spectral_grid, tail_T)
+                                    SurfaceOfRevolution, band_width, build_band,
+                                    closest_point, peanut_surface, spectral_grid,
+                                    tail_T)
 from orthoflow.errors import ConfigurationError, NumericalHealthError
 
 TAU, EPS = 0.05, 1e-6
@@ -152,6 +155,77 @@ class TestClosestPoint:
     def test_sphere_point_on_surface(self):
         cp = closest_point(Sphere(1.0), (0.0, 0.0, 1.0))
         assert np.linalg.norm(cp) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestSurfaceOfRevolution:
+    def test_unit_sphere_matches_analytic_closest_points(self):
+        # the unit sphere as a profile (cos t, sin t), t in [0, pi]
+        rev = SurfaceOfRevolution(np.cos, np.sin, t_range=(0.0, np.pi))
+        pts = np.random.default_rng(0).uniform(-2, 2, (20000, 3))
+        got, want = rev.closest(pts), Sphere(1.0).closest(pts)
+        assert np.abs(got - want).max() <= 1e-7
+        dist_got = np.linalg.norm(pts - got, axis=1)
+        dist_want = np.linalg.norm(pts - want, axis=1)
+        assert np.abs(dist_got - dist_want).max() <= 1e-13
+
+    def test_seed_equals_dense_scan(self):
+        pea = peanut_surface()
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(-3, 3, (5000, 3))
+        px, ps = pts[:, 0], np.hypot(pts[:, 1], pts[:, 2])
+        # the x = 0 plane (mirror-image samples tie) and the axis
+        lattice = np.arange(-60, 61) * 0.05
+        gx, gs = np.meshgrid(lattice, np.abs(lattice))
+        px = np.concatenate([px, np.zeros(2000), px[:2000], gx.ravel()])
+        ps = np.concatenate([ps, ps[:2000], np.zeros(2000), gs.ravel()])
+        # full scan: the first index attains the minimum
+        d2 = (pea._prof_x[None, :] - px[:, None]) ** 2 \
+            + (pea._prof_r[None, :] - ps[:, None]) ** 2
+        np.testing.assert_array_equal(pea._seed(px, ps)[0], np.argmin(d2, axis=1))
+        d2.sort(axis=1)
+        assert np.count_nonzero(d2[:, 0] == d2[:, 1]) > 1000   # exact ties occur
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(0, 3)),
+                    min_size=1, max_size=50))
+    def test_refinement_never_worse_than_seed(self, pairs):
+        pea = peanut_surface()
+        px, ps = (np.array(c, dtype=float) for c in zip(*pairs))
+        j, _ = pea._seed(px, ps)
+        seed = (pea._prof_x[j] - px) ** 2 + (pea._prof_r[j] - ps) ** 2
+        t = pea._closest_param(px, ps)
+        refined = (pea.axial(t) - px) ** 2 + (pea.radial(t) - ps) ** 2
+        assert np.all(refined <= seed * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_profile_sample_rejected(self, bad):
+        def radial(t):
+            return np.where(t > 0.5, bad, 1.0 - t * t)
+
+        with pytest.raises(ValueError, match="finite"):
+            SurfaceOfRevolution(lambda t: t, radial)
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(ValueError, match="2 profile samples"):
+            SurfaceOfRevolution(np.cos, np.sin, t_range=(0.0, np.pi), samples=1)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, axis, bad):
+        pts = np.zeros((3, 3))
+        pts[1, axis] = bad
+        with pytest.raises(ValueError, match="finite") as info:
+            peanut_surface().closest(pts)
+        assert "\n" not in str(info.value)
+
+
+class TestBandSpec:
+    @pytest.mark.parametrize("name", ["dx", "w_b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_non_positive_or_non_finite_rejected(self, name, bad):
+        kwargs = {"dx": 0.2, "w_b": 0.6, "p": 1, "eps": 1e-6, name: bad}
+        with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+            BandSpec(**kwargs)
 
 
 class TestBuildBand:
