@@ -13,8 +13,9 @@ and the Fourier-space evaluation uses the 1D kernel expansion
     G_tau(x) ~= (h/2pi) sum_{m=-M}^{M-1} exp(-m^2 h^2 tau + i m h x)
 
 on a mode lattice of spacing h, tensorized over the three axes.  The two
-Fourier sums (band points -> modes, modes -> surface points) are the type-1
-and type-2 NUFFTs, computed by ES-kernel gridding; one pair of calls diffuses
+Fourier sums (band points -> modes, modes -> surface points) are a type-1
+and a type-2 NUFFT; the step is real, so they run fused: ES-kernel spread,
+one real FFT, one real multiplier, one inverse real FFT and the gather, for
 all n^2 matrix components at once.
 
 Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
@@ -26,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 from scipy.special import erfc
 
-from .errors import ConfigurationError, NumericalHealthError
+from .errors import ConfigurationError
 from .field import MatrixField
 from .nufft import GridderPlan, ModeGrid
 
@@ -281,8 +283,10 @@ def peanut_surface() -> SurfaceOfRevolution:
         return 3.0 * t - t * t * t
 
     def radial(t):
-        x = axial(t)
-        return 0.5 * np.sqrt(np.maximum((1.0 + x**2) * (4.0 - x**2), 0.0))
+        # u = 1 - t^2, x = t (2 + u), 4 - x^2 = u^2 (3 + u): no cancellation at the tips
+        u = (1.0 - t) * (1.0 + t)
+        x = t * (2.0 + u)
+        return 0.5 * np.sqrt((1.0 + x * x) * (3.0 + u)) * np.abs(u)
 
     return SurfaceOfRevolution(axial, radial, t_range=(-1.0, 1.0))
 
@@ -421,11 +425,15 @@ def _chunked_closest(surface, points, chunk: int = 262144):
 # ---------------------------------------------------------------------------
 
 class SurfaceDiffuser:
-    """Spectral heat step on a band: extend, NUFFT, damp, NUFFT back.
+    """Spectral heat step on a band: spread -> rfftn -> *H -> irfftn -> gather.
 
     Precomputes the affine map into [-pi, pi)^3, the mode lattice, both
-    gridding plans, and a single scalar normalization calibrated so the
-    constant field maps (almost) exactly to itself.
+    gridding plans, a single scalar normalization calibrated so the constant
+    field maps (almost) exactly to itself, and H on the rfftn half spectrum.
+    H folds both ES deconvolutions, the damping exp(-|m|^2 tau), the constant
+    and the FFT normalisations into one real factor; mode k has the weight
+    (chi_S(k) + chi_S(-k))/2, S = [-M, M-1]^3 the kept lattice, which is the
+    real part of type-1 -> damp -> type-2, so H is exactly even.
     """
 
     def __init__(self, band: BandSet, tau: float, eps: float | None = None):
@@ -454,26 +462,29 @@ class SurfaceDiffuser:
         tgt = (band.closest_points - self.center) * self.scale
         self._src_plan = GridderPlan(src, self.modes, eps)
         self._tgt_plan = GridderPlan(tgt, self.modes, eps)
-        self._damp = np.exp(-self.modes.mode_norms_sq() * self.tau_scaled)
-        self._constant = band.n_q * (self.modes.h / (2.0 * np.pi)) ** 3
+
+        # per axis: the two plans' deconvolutions (equal, and taken at -|k| so
+        # even) times the damping, and membership of S and of its mirror -S
+        m, n, h = self.modes.m_half, self._src_plan.n_over, self.modes.h
+        k_full, k_half = np.fft.fftfreq(n, 1.0 / n), np.fft.rfftfreq(n, 1.0 / n)
+        heat, kept, mirror = (h / (2.0 * np.pi * n)) ** 3, 1, 1
+        for k in (k_full[:, None, None], k_full[None, :, None], k_half[None, None, :]):
+            g = self._src_plan.axis_deconv[m - np.minimum(np.abs(k), m).astype(int)]
+            heat = heat * (g * g * np.exp(-(h * k) ** 2 * self.tau_scaled))
+            kept = kept * ((k >= -m) & (k < m))
+            mirror = mirror * ((k > -m) & (k <= m))
+        self._heat = heat * (0.5 * (kept + mirror))
 
         # calibrate the residual scalar on the constant field
-        raw = self._apply(np.ones((band.n_q, 1)))[:, 0]
-        self._kappa = 1.0 / float(raw.max())
+        self._kappa = 1.0 / float(self._apply(np.ones((band.n_q, 1))).max())
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
         """Raw pipeline on (n_q, C) real values, before kappa."""
-        coeffs = self.band.quad_weights[:, None] * values
-        spec = self._src_plan.type1(coeffs)
-        spec *= self._damp[..., None]
-        out = self._tgt_plan.type2(spec, real_output=True)
-        # exact sums are real up to the asymmetric -M mode row, which the
-        # damping suppresses to ~eps; check at the oversampled-grid level
-        plan = self._tgt_plan
-        if plan.last_imag_residue > 1e-4 * max(plan.last_real_scale, 1e-300):
-            raise NumericalHealthError(
-                f"imaginary residue {plan.last_imag_residue:.3e} in surface diffusion")
-        return out * self._constant
+        grid = self._src_plan.spread(self.band.quad_weights[:, None] * values)
+        spec = scipy.fft.rfftn(grid, axes=(0, 1, 2))
+        spec *= self._heat[..., None]
+        grid = scipy.fft.irfftn(spec, s=grid.shape[:3], axes=(0, 1, 2), overwrite_x=True)
+        return self._tgt_plan.gather(grid)
 
     def diffuse_values(self, values: np.ndarray) -> np.ndarray:
         """Diffuse per-point scalar columns (n_q, C) for time tau."""

@@ -20,7 +20,6 @@ class SnapshotFormatError(ValueError):
 class NumericalHealthError(ArithmeticError):
     """A numerical-health check failed during a run.
 
-    Raised when a surface diffusion result comes back with a large imaginary
-    part, when an MBO step's diffusion result is not finite, or when its
+    Raised when an MBO step's diffusion result is not finite or its
     projection output is not orthogonal.
     """

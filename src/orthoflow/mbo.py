@@ -12,7 +12,9 @@ variant).  The iteration monitor is the interpolated Dirichlet energy
     E_tau(A) = (1/tau) sum_i w_i ( n - <A_i, (e^{tau L} A)_i>_F ),
 
 computed with the same diffusion backend as the step; it is non-increasing
-along both iterations, which the run loop records and the tests assert.
+along both iterations, which the run loop records and the tests assert.  On
+surfaces that monotonicity is measured, not proven: the closest-point heat
+step maps quadrature points to closest points and is not symmetric.
 """
 
 from __future__ import annotations

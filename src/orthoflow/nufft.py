@@ -15,8 +15,9 @@ semicircle" (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 2019),
 
 stretched over w grid nodes per axis, with w growing like log10(1/tol).  Its
 Fourier transform has no closed form and is computed by Gauss-Legendre
-quadrature.  All columns of a multi-column transform share one sparse
-spreading block per point chunk and one batched FFT.
+quadrature.  A plan's real-column spread (points -> grid) and gather (grid
+-> points) are the one spreading core, all columns sharing one sparse block
+per point chunk; type1/type2 wrap them in a batched complex FFT.
 
 Scaled modes reduce to integer modes on rescaled points y = h*x (mod 2pi),
 which is how both transforms are computed internally.
@@ -71,11 +72,6 @@ class ModeGrid:
         """Physical mode values along one axis."""
         return self.h * np.arange(-self.m_half, self.m_half)
 
-    def mode_norms_sq(self) -> np.ndarray:
-        """|m|^2 over the full (2M)^3 lattice."""
-        v = self.mode_values() ** 2
-        return v[:, None, None] + v[None, :, None] + v[None, None, :]
-
 
 def _check_points(points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
@@ -126,10 +122,10 @@ class GridderPlan:
     """Precomputed spreading geometry for one (points, modes, tol) triple.
 
     Holds, per point and axis, the kdim wrapped grid indices and ES kernel
-    values.  Each transform assembles them, chunk by chunk, into one sparse
-    (points x grid) block that all C columns share; the FFTs run batched over
-    the columns.  Reusable across many coefficient arrays; this is what the
-    surface diffusion solver caches between iterations.
+    values.  spread and gather assemble them, chunk by chunk, into one sparse
+    (points x grid) block that all C real columns share; type1/type2 pass a
+    complex column as its real and imaginary halves.  Reusable across many
+    coefficient arrays; the surface diffuser keeps one per point set.
     """
 
     def __init__(self, points, modes: ModeGrid, tol: float):
@@ -158,13 +154,13 @@ class GridderPlan:
         self._kx, self._ky, self._kz = kern[:, 0, :], kern[:, 1, :], kern[:, 2, :]
 
         # deconvolution on the retained modes: the product over the axes of
-        # n_over / psi_hat, where psi_hat is the kernel transform in grid units
+        # axis_deconv = n_over / psi_hat, psi_hat the kernel transform in grid
+        # units, at the modes -M..M-1
         k = np.arange(-m, m)
         g = self.n_over / es_transform(2.0 * np.pi * k / self.n_over, self.kdim, beta)
+        self.axis_deconv = g
         self._deconv = g[:, None, None] * g[None, :, None] * g[None, None, :]
         self._mode_ix = np.ix_(*(np.mod(k, self.n_over),) * 3)
-
-    # -- internals ---------------------------------------------------------
 
     def _blocks(self):
         """Sparse (points, n_over^3) spreading blocks, one per point chunk."""
@@ -182,59 +178,50 @@ class GridderPlan:
             yield lo, hi, sparse.csr_array(
                 (w3.ravel(), ids.ravel(), indptr), shape=(hi - lo, self.n_over**3))
 
+    def spread(self, cols) -> np.ndarray:
+        """Real columns (N, C) spread onto the oversampled grid: (n, n, n, C)."""
+        if cols.shape[0] != self.npts:
+            raise ValueError("coefficient count does not match plan points")
+        n = self.n_over
+        grid = np.zeros((n**3, cols.shape[1]))
+        for lo, hi, block in self._blocks():
+            grid += block.T @ cols[lo:hi]
+        return grid.reshape(n, n, n, -1)
+
+    def gather(self, grid) -> np.ndarray:
+        """Real grid columns (n, n, n, C) interpolated at the points: (N, C)."""
+        if grid.shape[:3] != (self.n_over,) * 3:
+            raise ValueError("grid does not match the oversampled grid")
+        cols = np.ascontiguousarray(grid).reshape(self.n_over**3, -1)
+        out = np.empty((self.npts, cols.shape[1]))
+        for lo, hi, block in self._blocks():
+            out[lo:hi] = block @ cols
+        return out
+
     def type1(self, coeffs) -> np.ndarray:
         """f(m) over the (2M)^3 lattice; coeffs shape (N,) or (N, C)."""
         coeffs = np.asarray(coeffs)
         squeeze = coeffs.ndim == 1
         if squeeze:
             coeffs = coeffs[:, None]
-        if coeffs.shape[0] != self.npts:
-            raise ValueError("coefficient count does not match plan points")
-        ncomp = coeffs.shape[1]
-        n = self.n_over
         # a complex column spreads as its real and imaginary halves side by side
         dtype = complex if np.iscomplexobj(coeffs) else float
-        cols = np.ascontiguousarray(coeffs, dtype=dtype).view(float)
-        grid = np.zeros((n**3, cols.shape[1]))
-        for lo, hi, block in self._blocks():
-            grid += block.T @ cols[lo:hi]
-        spec = np.fft.fftn(grid.view(dtype).reshape(n, n, n, ncomp), axes=(0, 1, 2))
-        out = spec[self._mode_ix] * (self._deconv / (n**3 * self.npts))[..., None]
+        grid = self.spread(np.ascontiguousarray(coeffs, dtype=dtype).view(float))
+        spec = np.fft.fftn(grid.view(dtype), axes=(0, 1, 2))
+        out = spec[self._mode_ix] * (self._deconv / (self.n_over**3 * self.npts))[..., None]
         return out[..., 0] if squeeze else out
 
-    def type2(self, spectral, real_output: bool = False) -> np.ndarray:
-        """F at the plan points; spectral shape (2M, 2M, 2M) or (..., C).
-
-        With real_output=True the imaginary part is dropped on the
-        oversampled grid (its max magnitude is returned via the
-        last_imag_residue attribute) and the gather runs on floats; use only
-        when the exact sums are known to be real up to discretization noise.
-        """
+    def type2(self, spectral) -> np.ndarray:
+        """F at the plan points; spectral shape (2M, 2M, 2M) or (..., C)."""
         spectral = np.asarray(spectral, dtype=complex)
-        nm = self.modes.n_modes
         squeeze = spectral.ndim == 3
         if squeeze:
             spectral = spectral[..., None]
-        if spectral.shape[:3] != (nm, nm, nm):
+        if spectral.shape[:3] != self._deconv.shape:
             raise ValueError("spectral block does not match the mode grid")
-        ncomp = spectral.shape[3]
-        n = self.n_over
-        embedded = np.zeros((n, n, n, ncomp), dtype=complex)
+        embedded = np.zeros((self.n_over,) * 3 + spectral.shape[3:], dtype=complex)
         embedded[self._mode_ix] = spectral * self._deconv[..., None]
-        grid = np.fft.ifftn(embedded, axes=(0, 1, 2)).reshape(n**3, ncomp)
-        self.last_imag_residue = 0.0
-        self.last_real_scale = 0.0
-        if real_output:
-            self.last_imag_residue = float(np.abs(grid.imag).max())
-            self.last_real_scale = float(np.abs(grid.real).max())
-            cols = np.ascontiguousarray(grid.real)
-        else:
-            cols = grid.view(float)
-        out = np.empty((self.npts, cols.shape[1]))
-        for lo, hi, block in self._blocks():
-            out[lo:hi] = block @ cols
-        if not real_output:
-            out = out.view(complex)
+        out = self.gather(np.fft.ifftn(embedded, axes=(0, 1, 2)).view(float)).view(complex)
         return out[:, 0] if squeeze else out
 
 

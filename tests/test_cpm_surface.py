@@ -3,10 +3,11 @@
 Heavy checks run on a coarse sphere band (dx = 0.2, p = 1); the acceptance
 suite repeats the headline oracle at the production scale (dx = 0.05).
 """
-import copy
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,8 @@ from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser,
                                     SurfaceOfRevolution, band_width, build_band,
                                     closest_point, peanut_surface, spectral_grid,
                                     tail_T)
-from orthoflow.errors import ConfigurationError, NumericalHealthError
+from orthoflow.errors import ConfigurationError
+from orthoflow.nufft import GridderPlan
 
 TAU, EPS = 0.05, 1e-6
 
@@ -28,6 +30,20 @@ def sphere_band():
 @pytest.fixture(scope="module")
 def sphere_diffuser(sphere_band):
     return SurfaceDiffuser(sphere_band, TAU, EPS)
+
+
+@pytest.fixture(scope="module")
+def peanut_desk():
+    """The benchmark's desk peanut band (dx = 0.3, tau = 0.1) and its diffuser."""
+    band = build_band(peanut_surface(), BandSpec(dx=0.3, w_b=band_width(0.1, EPS),
+                                                 p=1, eps=EPS))
+    return band, SurfaceDiffuser(band, 0.1, EPS)
+
+
+@pytest.fixture(scope="module", params=["sphere", "peanut"])
+def desk(request, sphere_band, sphere_diffuser, peanut_desk):
+    """Both desk bands: the sphere fixture is the benchmark's desk sphere."""
+    return (sphere_band, sphere_diffuser) if request.param == "sphere" else peanut_desk
 
 
 class TestTailT:
@@ -152,6 +168,18 @@ class TestClosestPoint:
         assert pea.axial(1.0) == pytest.approx(2.0)
         assert pea.radial(1.0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_peanut_radial_exact_near_tips(self, sign):
+        # rho^2 = (1 + x^2)(4 - x^2)/4 evaluated in exact rationals at the
+        # same float t; 4 - x^2 cancels at the tips unless it is factored
+        radial = peanut_surface().radial
+        for k in range(3, 16):
+            t = sign * (1.0 - 10.0**-k)
+            x = 3 * Fraction(t) - Fraction(t) ** 3
+            exact = (1 + x * x) * (4 - x * x) / 4
+            got = Fraction(float(radial(np.array([t]))[0])) ** 2
+            assert abs(got - exact) <= Fraction(1, 10**14) * exact, k
+
     def test_sphere_point_on_surface(self):
         cp = closest_point(Sphere(1.0), (0.0, 0.0, 1.0))
         assert np.linalg.norm(cp) == pytest.approx(1.0, abs=1e-14)
@@ -259,6 +287,11 @@ class TestDiffuseSurface:
         out = sphere_diffuser.diffuse_values(np.ones((sphere_band.n_q, 1)))[:, 0]
         assert np.abs(out - 1.0).max() <= 1e-5
 
+    def test_constant_invariant_peanut(self, peanut_desk):
+        band, dif = peanut_desk
+        out = dif.diffuse_values(np.ones((band.n_q, 1)))[:, 0]
+        assert np.abs(out - 1.0).max() <= 10 * EPS
+
     def test_sphere_eigenfunctions(self, sphere_diffuser, sphere_band):
         # l = 1 and l = 2 harmonics decay by exp(-l(l+1) tau) within 1-2%
         z = sphere_band.closest_points[:, 2]
@@ -298,15 +331,6 @@ class TestDiffuseSurface:
         assert abs(max_dev(sphere_diffuser, sphere_band)
                    - max_dev(dif_w, wide)) <= 10 * EPS
 
-    def test_imaginary_residue_raises(self, sphere_diffuser, sphere_band):
-        # keep only the -M corner mode, whose +M partner is not on the lattice:
-        # the back-transform is a complex exponential, far from real
-        broken = copy.copy(sphere_diffuser)
-        broken._damp = np.zeros_like(sphere_diffuser._damp)
-        broken._damp[0, 0, 0] = 1.0
-        with pytest.raises(NumericalHealthError, match="imaginary residue"):
-            broken.diffuse_values(np.ones((sphere_band.n_q, 1)))
-
     def test_band_too_narrow_for_tau(self, sphere_band):
         with pytest.raises(ConfigurationError):
             SurfaceDiffuser(sphere_band, tau=10.0 * TAU)
@@ -318,6 +342,67 @@ class TestDiffuseSurface:
         f = MatrixField.cloud_field(pts, np.ones(10), np.zeros((10, 2, 2)))
         with pytest.raises(ValueError):
             sphere_diffuser.diffuse(f)
+
+
+class TestFusedHeatStep:
+    """The real-FFT step: one even multiplier on the rfftn half spectrum."""
+
+    @staticmethod
+    def complex_reference(dif, values):
+        """type-1 -> damp -> type-2 -> real part, times the quadrature constant."""
+        v = dif.modes.mode_values() ** 2
+        damp = np.exp(-(v[:, None, None] + v[None, :, None] + v[None, None, :])
+                      * dif.tau_scaled)
+        spec = dif._src_plan.type1(dif.band.quad_weights[:, None] * values)
+        out = dif._tgt_plan.type2(spec * damp[..., None]).real
+        return out * dif.band.n_q * (dif.modes.h / (2.0 * np.pi)) ** 3
+
+    def test_apply_matches_complex_reference(self, desk):
+        band, dif = desk
+        values = np.random.default_rng(3).standard_normal((band.n_q, 9))
+        ref = self.complex_reference(dif, values)
+        got = dif._apply(values)
+        assert got.dtype == np.float64
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_kappa_matches_complex_reference(self, desk):
+        band, dif = desk
+        ref = 1.0 / self.complex_reference(dif, np.ones((band.n_q, 1))).max()
+        assert abs(dif._kappa - ref) <= 1e-14 * ref
+
+    def test_heat_multiplier_is_even(self, desk):
+        # irfftn extends H by H(-k) = H(k) off the kz = 0 and kz = n/2
+        # planes, so those two planes must equal their own reflection
+        _, dif = desk
+        n, m = dif._src_plan.n_over, dif.modes.m_half
+        heat = dif._heat
+        assert heat.shape == (n, n, n // 2 + 1) and heat.dtype == np.float64
+        for kz in (0, n // 2):
+            plane = heat[..., kz]
+            assert np.array_equal(plane, np.roll(plane[::-1, ::-1], 1, axis=(0, 1)))
+        # the kept lattice's lone -M row and its mirror +M carry equal weight
+        assert heat[n - m, 0, 0] == heat[m, 0, 0] > 0.0
+        assert heat[m + 1, 0, 0] == 0.0
+
+    def test_one_real_fft_pair_and_two_block_sets(self, sphere_diffuser, sphere_band,
+                                                  monkeypatch):
+        calls = {}
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        for module in (scipy.fft, np.fft):
+            for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+                count(module, name, f"{module.__name__}.{name}")
+        count(GridderPlan, "_blocks", "blocks")
+        field = sphere_band.constant_field(3, np.eye(3))
+        sphere_diffuser.diffuse(field)            # C = 9 columns
+        assert calls == {"scipy.fft.rfftn": 1, "scipy.fft.irfftn": 1, "blocks": 2}
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])

@@ -181,14 +181,32 @@ class TestMultiColumn:
         for c in range(self.NCOMP):
             assert rel_max_err(multi[:, c], plan.type2(spec[..., c])) <= 1e-14
 
-    def test_real_output_is_real_part(self, plan):
+    def test_spread_gather_match_type1_type2(self, plan):
+        # the complex transforms are the real-column core plus fftn / ifftn
         rng = np.random.default_rng(8)
+        n, m = plan.n_over, plan.modes.m_half
+        kept = np.ix_(*(np.mod(np.arange(-m, m), n),) * 3)
+        g = plan.axis_deconv
+        deconv = g[:, None, None] * g[None, :, None] * g[None, None, :]
+        coeffs = rng.standard_normal((plan.npts, 3))
+        grid = plan.spread(coeffs)
+        assert grid.shape == (n, n, n, 3) and grid.dtype == np.float64
         spec = rng.standard_normal((32, 32, 32, 3)) + 1j * rng.standard_normal((32, 32, 32, 3))
-        full = plan.type2(spec)
-        real = plan.type2(spec, real_output=True)
-        assert real.dtype == np.float64
-        assert rel_max_err(real, full.real) <= 1e-14
-        assert plan.last_imag_residue > 0.0 and plan.last_real_scale > 0.0
+        for c in range(3):
+            via_spread = np.fft.fftn(grid[..., c])[kept] * deconv / (n**3 * plan.npts)
+            assert rel_max_err(via_spread, plan.type1(coeffs[:, c])) <= 1e-14
+            embedded = np.zeros((n, n, n), dtype=complex)
+            embedded[kept] = spec[..., c] * deconv
+            back = np.fft.ifftn(embedded)
+            cols = plan.gather(np.stack([back.real, back.imag], axis=-1))
+            assert cols.shape == (plan.npts, 2)
+            assert rel_max_err(cols[:, 0] + 1j * cols[:, 1], plan.type2(spec[..., c])) <= 1e-14
+
+    def test_spread_gather_reject_mismatched_shapes(self, plan):
+        with pytest.raises(ValueError, match="plan points"):
+            plan.spread(np.ones((plan.npts + 1, 2)))
+        with pytest.raises(ValueError, match="oversampled grid"):
+            plan.gather(np.ones((plan.n_over - 1,) * 3 + (2,)))
 
     def test_repeat_calls_bit_identical(self, plan):
         rng = np.random.default_rng(9)
@@ -196,8 +214,9 @@ class TestMultiColumn:
         spec = rng.standard_normal((32, 32, 32, 3)) + 0j
         assert np.array_equal(plan.type1(coeffs), plan.type1(coeffs))
         assert np.array_equal(plan.type2(spec), plan.type2(spec))
-        assert np.array_equal(plan.type2(spec, real_output=True),
-                              plan.type2(spec, real_output=True))
+        grid = plan.spread(coeffs.real)
+        assert np.array_equal(grid, plan.spread(coeffs.real))
+        assert np.array_equal(plan.gather(grid), plan.gather(grid))
 
 
 class TestWidthRule:

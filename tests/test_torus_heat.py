@@ -5,6 +5,8 @@ sampled on the grid.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoflow.field import GridSpec, MatrixField
 from orthoflow.scenarios import rotation_branch
@@ -163,3 +165,20 @@ class TestHeatSymbolOnce:
             heat_multiplier((1, 1), tau, (1.0, 1.0))
         with pytest.raises(ValueError, match="finite"):
             TorusDiffuser(GridSpec((8, 8)), tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), sizes=st.tuples(st.integers(8, 20), st.integers(8, 20)),
+       extent=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       tau=st.floats(1e-4, 0.1), seed=st.integers(0, 2**32 - 1))
+def test_operator_self_adjoint_and_positive_semidefinite(n, sizes, extent, tau, seed):
+    # <u, Dv> = <Du, v> and <u, Du> >= 0 on random real fields: the symbol is
+    # real, even and positive
+    grid = GridSpec(sizes, extent)
+    diffuser = TorusDiffuser(grid, tau)
+    rng = np.random.default_rng(seed)
+    u, v = (rng.standard_normal(sizes + (n, n)) for _ in range(2))
+    du, dv = (diffuser.diffuse(MatrixField.grid_field(grid, w)).data for w in (u, v))
+    norm_u, norm_v = np.linalg.norm(u), np.linalg.norm(v)
+    assert abs(np.sum(u * dv) - np.sum(du * v)) <= 1e-12 * norm_u * norm_v
+    assert np.sum(u * du) >= -1e-12 * norm_u**2
