@@ -16,7 +16,7 @@ on a mode lattice of spacing h, tensorized over the three axes.  The two
 Fourier sums (band points -> modes, modes -> surface points) are a type-1
 and a type-2 NUFFT; the step is real, so they run fused: ES-kernel spread,
 one real FFT, one real multiplier, one inverse real FFT and the gather, for
-all n^2 matrix components at once.
+all n^2 matrix components at once (the spread separable on the band lattice).
 
 Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
 step; the diffusion time rescales by the squared map factor.
@@ -34,7 +34,7 @@ from scipy.special import erfc
 
 from .errors import ConfigurationError
 from .field import MatrixField
-from .nufft import GridderPlan, ModeGrid
+from .nufft import GridderPlan, LatticeSpreader, ModeGrid
 
 __all__ = [
     "tail_T",
@@ -427,9 +427,9 @@ def _chunked_closest(surface, points, chunk: int = 262144):
 class SurfaceDiffuser:
     """Spectral heat step on a band: spread -> rfftn -> *H -> irfftn -> gather.
 
-    Precomputes the affine map into [-pi, pi)^3, the mode lattice, both
-    gridding plans, a single scalar normalization calibrated so the constant
-    field maps (almost) exactly to itself, and H on the rfftn half spectrum.
+    Precomputes the affine map into [-pi, pi)^3, the mode lattice, the band's
+    LatticeSpreader, the closest points' GridderPlan, a scalar normalization
+    fixing the constant field (almost) exactly, and H on the rfftn half spectrum.
     H folds both ES deconvolutions, the damping exp(-|m|^2 tau), the constant
     and the FFT normalisations into one real factor; mode k has the weight
     (chi_S(k) + chi_S(-k))/2, S = [-M, M-1]^3 the kept lattice, which is the
@@ -460,16 +460,16 @@ class SurfaceDiffuser:
 
         src = (band.quad_points - self.center) * self.scale
         tgt = (band.closest_points - self.center) * self.scale
-        self._src_plan = GridderPlan(src, self.modes, eps)
+        self._spreader = LatticeSpreader(src, self.modes, eps)
         self._tgt_plan = GridderPlan(tgt, self.modes, eps)
 
-        # per axis: the two plans' deconvolutions (equal, and taken at -|k| so
-        # even) times the damping, and membership of S and of its mirror -S
-        m, n, h = self.modes.m_half, self._src_plan.n_over, self.modes.h
+        # per axis: the spread's and gather's deconvolutions (equal, taken at
+        # -|k| so even) times the damping, and membership of S and of -S
+        m, n, h = self.modes.m_half, self._tgt_plan.n_over, self.modes.h
         k_full, k_half = np.fft.fftfreq(n, 1.0 / n), np.fft.rfftfreq(n, 1.0 / n)
         heat, kept, mirror = (h / (2.0 * np.pi * n)) ** 3, 1, 1
         for k in (k_full[:, None, None], k_full[None, :, None], k_half[None, None, :]):
-            g = self._src_plan.axis_deconv[m - np.minimum(np.abs(k), m).astype(int)]
+            g = self._tgt_plan.axis_deconv[m - np.minimum(np.abs(k), m).astype(int)]
             heat = heat * (g * g * np.exp(-(h * k) ** 2 * self.tau_scaled))
             kept = kept * ((k >= -m) & (k < m))
             mirror = mirror * ((k > -m) & (k <= m))
@@ -480,7 +480,7 @@ class SurfaceDiffuser:
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
         """Raw pipeline on (n_q, C) real values, before kappa."""
-        grid = self._src_plan.spread(self.band.quad_weights[:, None] * values)
+        grid = self._spreader.spread(self.band.quad_weights[:, None] * values)
         spec = scipy.fft.rfftn(grid, axes=(0, 1, 2))
         spec *= self._heat[..., None]
         grid = scipy.fft.irfftn(spec, s=grid.shape[:3], axes=(0, 1, 2), overwrite_x=True)

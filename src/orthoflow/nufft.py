@@ -15,9 +15,10 @@ semicircle" (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 2019),
 
 stretched over w grid nodes per axis, with w growing like log10(1/tol).  Its
 Fourier transform has no closed form and is computed by Gauss-Legendre
-quadrature.  A plan's real-column spread (points -> grid) and gather (grid
--> points) are the one spreading core, all columns sharing one sparse block
-per point chunk; type1/type2 wrap them in a batched complex FFT.
+quadrature.  A GridderPlan's real-column spread (points -> grid) and gather
+(grid -> points) share one sparse block per point chunk; type1/type2 wrap
+them in a batched complex FFT.  A LatticeSpreader spreads points on a tensor
+lattice by per-axis matrices; both take their stencils from one helper.
 
 Scaled modes reduce to integer modes on rescaled points y = h*x (mod 2pi),
 which is how both transforms are computed internally.
@@ -79,8 +80,8 @@ def _check_points(points) -> np.ndarray:
         raise ValueError("points must have shape (N, 3)")
     if points.shape[0] < 1:
         raise ValueError("need at least one point")
-    if np.any(points < -np.pi) or np.any(points >= np.pi):
-        raise ValueError("points must lie in [-pi, pi)^3")
+    if not np.all((points >= -np.pi) & (points < np.pi)):
+        raise ValueError("points must be finite and lie in [-pi, pi)^3")
     return points
 
 
@@ -118,6 +119,16 @@ def es_transform(xi, width: int, beta: float) -> np.ndarray:
     return half * (phase @ (wq * es_kernel(z, beta)))
 
 
+def _stencil(coords, h: float, n_over: int, kdim: int):
+    """Per coordinate (new last axis): the kdim wrapped grid nodes and ES kernel
+    values; node l sits at y = 2 pi l / n_over, y = h x (mod 2 pi)."""
+    half = kdim / 2.0
+    t = np.mod(coords * h, 2.0 * np.pi) * (n_over / (2.0 * np.pi))
+    nodes = np.ceil(t - half).astype(np.int64)[..., None] + np.arange(kdim)
+    kern = es_kernel((t[..., None] - nodes) / half, ES_BETA_PER_WIDTH * kdim)
+    return nodes % n_over, kern
+
+
 class GridderPlan:
     """Precomputed spreading geometry for one (points, modes, tol) triple.
 
@@ -125,7 +136,7 @@ class GridderPlan:
     values.  spread and gather assemble them, chunk by chunk, into one sparse
     (points x grid) block that all C real columns share; type1/type2 pass a
     complex column as its real and imaginary halves.  Reusable across many
-    coefficient arrays; the surface diffuser keeps one per point set.
+    coefficient arrays; the surface diffuser keeps one for its gather.
     """
 
     def __init__(self, points, modes: ModeGrid, tol: float):
@@ -140,14 +151,10 @@ class GridderPlan:
             raise ValueError("oversampled grid exceeds 2^31 nodes")
         self.kdim = es_width(self.tol)
         beta = ES_BETA_PER_WIDTH * self.kdim
-        half = self.kdim / 2.0
 
-        # grid units: node l sits at y = 2 pi l / n_over
-        t = np.mod(points * modes.h, 2.0 * np.pi) * (self.n_over / (2.0 * np.pi))
-        nodes = np.ceil(t - half).astype(np.int64)[:, :, None] + np.arange(self.kdim)
-        kern = es_kernel((t[:, :, None] - nodes) / half, beta)
+        nodes, kern = _stencil(points, modes.h, self.n_over, self.kdim)
         # per-axis wrapped indices, pre-multiplied by the flattening strides
-        idx = (nodes % self.n_over).astype(np.int32)
+        idx = nodes.astype(np.int32)
         self._ix = idx[:, 0, :] * np.int32(self.n_over * self.n_over)
         self._iy = idx[:, 1, :] * np.int32(self.n_over)
         self._iz = idx[:, 2, :]
@@ -223,6 +230,39 @@ class GridderPlan:
         embedded[self._mode_ix] = spectral * self._deconv[..., None]
         out = self.gather(np.fft.ifftn(embedded, axes=(0, 1, 2)).view(float)).view(complex)
         return out[:, 0] if squeeze else out
+
+
+class LatticeSpreader:
+    """GridderPlan.spread for points on a tensor lattice of at most 8 sites per
+    point: the columns are summed onto the dense lattice of the distinct
+    per-axis coordinates (coincident points add), then the dense (n_over, L_a)
+    ES matrix of each axis is applied in turn."""
+
+    def __init__(self, points, modes: ModeGrid, tol: float):
+        points = _check_points(points)
+        self.npts, self.n_over = points.shape[0], 4 * modes.m_half
+        kdim = es_width(_check_tol(tol))
+        axes = [np.unique(points[:, a], return_inverse=True) for a in range(3)]
+        self.shape = tuple(len(u) for u, _ in axes)
+        if np.prod(self.shape, dtype=float) > 8 * self.npts:
+            raise ValueError(f"lattice {self.shape} exceeds 8 sites per point ({self.npts})")
+        self._site = np.ravel_multi_index([inv.ravel() for _, inv in axes], self.shape)
+        self._axes = []
+        for u, _ in axes:
+            nodes, kern = _stencil(u, modes.h, self.n_over, kdim)
+            self._axes.append(np.zeros((self.n_over, len(u))))
+            np.add.at(self._axes[-1], (nodes, np.arange(len(u))[:, None]), kern)
+
+    def spread(self, cols) -> np.ndarray:
+        """Real columns (N, C) spread onto the oversampled grid: (n, n, n, C)."""
+        if cols.shape[0] != self.npts:
+            raise ValueError("coefficient count does not match plan points")
+        (lx, ly, lz), n, c = self.shape, self.n_over, cols.shape[1]
+        lattice = np.zeros((lx * ly * lz, c))
+        np.add.at(lattice, self._site, cols)
+        sx, sy, sz = self._axes
+        grid = sy @ (sz @ lattice.reshape(lx * ly, lz, c)).reshape(lx, ly, n * c)
+        return (sx @ grid.reshape(lx, -1)).reshape(n, n, n, c)
 
 
 def nufft_type1(points, coeffs, modes: ModeGrid, tol: float) -> np.ndarray:

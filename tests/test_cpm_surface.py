@@ -11,12 +11,13 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser,
+from orthoflow.cpm_surface import (BandSpec, CallableSurface, Sphere, SurfaceDiffuser,
                                     SurfaceOfRevolution, band_width, build_band,
                                     closest_point, peanut_surface, spectral_grid,
                                     tail_T)
 from orthoflow.errors import ConfigurationError
-from orthoflow.nufft import GridderPlan
+from orthoflow.field import MatrixField
+from orthoflow.nufft import GridderPlan, LatticeSpreader
 
 TAU, EPS = 0.05, 1e-6
 
@@ -336,12 +337,53 @@ class TestDiffuseSurface:
             SurfaceDiffuser(sphere_band, tau=10.0 * TAU)
 
     def test_field_point_mismatch(self, sphere_diffuser, sphere_band):
-        from orthoflow.field import MatrixField
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((10, 3))
         f = MatrixField.cloud_field(pts, np.ones(10), np.zeros((10, 2, 2)))
         with pytest.raises(ValueError):
             sphere_diffuser.diffuse(f)
+
+
+class TestOperatorGates:
+    """Measured gates of the surface operator D on both desk bands: the
+    maximum principle |Du|_inf <= (1 + eps) |u|_inf and <u, Du>_w >= 0 in
+    the surface-weighted inner product, on 20 uniform-random and 20
+    plane-sign columns."""
+
+    @pytest.fixture(scope="class")
+    def responses(self, desk):
+        band, dif = desk
+        rng = np.random.default_rng(12)
+        normals = rng.standard_normal((3, 20))
+        offsets = rng.uniform(-0.5, 0.5, 20)
+        u = np.hstack([rng.uniform(-1.0, 1.0, (band.n_q, 20)),
+                       np.where(band.closest_points @ normals > offsets, 1.0, -1.0)])
+        return band, u, dif.diffuse_values(u)
+
+    def test_maximum_principle(self, responses):
+        band, u, du = responses
+        assert np.all(np.abs(du).max(axis=0) <= (1.0 + band.spec.eps) * np.abs(u).max(axis=0))
+
+    def test_weighted_inner_product_non_negative(self, responses):
+        band, u, du = responses
+        assert np.all(np.einsum("i,ic,ic->c", band.surface_weights(), u, du) >= 0.0)
+
+
+def test_callable_surface_matches_sphere(sphere_band, sphere_diffuser):
+    # the same closest-point map through CallableSurface gives the same band,
+    # and the diffusion depends only on the band
+    sphere = Sphere(1.0)
+    band = build_band(CallableSurface(sphere.closest, sphere.bounding_box(), 4.0 * np.pi),
+                      sphere_band.spec)
+    for name in ("grid_points", "grid_distances", "quad_points", "quad_weights",
+                 "closest_points"):
+        assert np.array_equal(getattr(band, name), getattr(sphere_band, name)), name
+    data = np.random.default_rng(13).standard_normal((band.n_q, 3, 3))
+    got = SurfaceDiffuser(band, TAU, EPS).diffuse(
+        MatrixField.cloud_field(band.closest_points, band.surface_weights(), data))
+    want = sphere_diffuser.diffuse(
+        MatrixField.cloud_field(sphere_band.closest_points, sphere_band.surface_weights(), data))
+    assert np.array_equal(got.data, want.data)
 
 
 class TestFusedHeatStep:
@@ -353,7 +395,8 @@ class TestFusedHeatStep:
         v = dif.modes.mode_values() ** 2
         damp = np.exp(-(v[:, None, None] + v[None, :, None] + v[None, None, :])
                       * dif.tau_scaled)
-        spec = dif._src_plan.type1(dif.band.quad_weights[:, None] * values)
+        src = GridderPlan((dif.band.quad_points - dif.center) * dif.scale, dif.modes, dif.eps)
+        spec = src.type1(dif.band.quad_weights[:, None] * values)
         out = dif._tgt_plan.type2(spec * damp[..., None]).real
         return out * dif.band.n_q * (dif.modes.h / (2.0 * np.pi)) ** 3
 
@@ -374,7 +417,7 @@ class TestFusedHeatStep:
         # irfftn extends H by H(-k) = H(k) off the kz = 0 and kz = n/2
         # planes, so those two planes must equal their own reflection
         _, dif = desk
-        n, m = dif._src_plan.n_over, dif.modes.m_half
+        n, m = dif._tgt_plan.n_over, dif.modes.m_half
         heat = dif._heat
         assert heat.shape == (n, n, n // 2 + 1) and heat.dtype == np.float64
         for kz in (0, n // 2):
@@ -384,8 +427,8 @@ class TestFusedHeatStep:
         assert heat[n - m, 0, 0] == heat[m, 0, 0] > 0.0
         assert heat[m + 1, 0, 0] == 0.0
 
-    def test_one_real_fft_pair_and_two_block_sets(self, sphere_diffuser, sphere_band,
-                                                  monkeypatch):
+    def test_one_real_fft_pair_one_lattice_spread_and_one_block_set(
+            self, sphere_diffuser, sphere_band, monkeypatch):
         calls = {}
 
         def count(owner, name, key):
@@ -400,9 +443,11 @@ class TestFusedHeatStep:
             for name in ("fftn", "ifftn", "rfftn", "irfftn"):
                 count(module, name, f"{module.__name__}.{name}")
         count(GridderPlan, "_blocks", "blocks")
+        count(LatticeSpreader, "spread", "lattice")
         field = sphere_band.constant_field(3, np.eye(3))
         sphere_diffuser.diffuse(field)            # C = 9 columns
-        assert calls == {"scipy.fft.rfftn": 1, "scipy.fft.irfftn": 1, "blocks": 2}
+        assert calls == {"scipy.fft.rfftn": 1, "scipy.fft.irfftn": 1, "blocks": 1,
+                         "lattice": 1}
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])

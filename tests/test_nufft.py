@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoflow.nufft import (GridderPlan, ModeGrid, direct_type1, direct_type2,
-                             es_width, nufft_type1, nufft_type2)
+from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser, band_width,
+                                    build_band, peanut_surface)
+from orthoflow.nufft import (GridderPlan, LatticeSpreader, ModeGrid, direct_type1,
+                             direct_type2, es_width, nufft_type1, nufft_type2)
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +261,84 @@ class TestAccuracyProperty:
         plan = GridderPlan(pts, modes, tol)
         assert rel_max_err(plan.type1(coeffs), direct_type1(pts, coeffs, modes)) <= tol
         assert rel_max_err(plan.type2(spec), direct_type2(spec, pts, modes)) <= tol
+
+
+@pytest.fixture(scope="module", params=["sphere", "peanut"])
+def desk_quad(request):
+    """The desk bands' quadrature points in the surface diffuser's [-pi, pi)^3."""
+    surface, dx, tau = ((Sphere(1.0), 0.2, 0.05) if request.param == "sphere"
+                        else (peanut_surface(), 0.3, 0.1))
+    band = build_band(surface, BandSpec(dx=dx, w_b=band_width(tau, 1e-6), p=1, eps=1e-6))
+    dif = SurfaceDiffuser(band, tau, 1e-6)
+    return (band.quad_points - dif.center) * dif.scale, dif.modes, dif.eps
+
+
+def assert_lattice_matches_gridder(pts, modes, tol, ncols, seed=0):
+    cols = np.random.default_rng(seed).standard_normal((len(pts), ncols))
+    want = GridderPlan(pts, modes, tol).spread(cols)
+    got = LatticeSpreader(pts, modes, tol).spread(cols)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestLatticeSpreader:
+    """The separable lattice spread equals the sparse-block spread."""
+
+    @pytest.mark.parametrize("ncols", [1, 9])
+    def test_matches_gridder_on_desk_bands(self, desk_quad, ncols):
+        pts, modes, tol = desk_quad
+        # the sphere's lattice is 27^3, the peanut's 29 x 25 x 25 (not cubic)
+        assert LatticeSpreader(pts, modes, tol).shape in {(27, 27, 27), (29, 25, 25)}
+        assert_lattice_matches_gridder(pts, modes, tol, ncols)
+
+    def test_wrapping_stencils_and_coincident_points(self):
+        axis = np.array([-np.pi, -1.0, 0.25, np.nextafter(np.pi, 0.0)])
+        pts = np.stack(np.meshgrid(axis, axis[::-1], axis, indexing="ij"), -1).reshape(-1, 3)
+        pts = np.concatenate([pts, pts[[5, 5, 17]]])     # point 5 three times
+        for ncols in (1, 9):
+            assert_lattice_matches_gridder(pts, ModeGrid(h=1.0, m_half=6), 1e-9, ncols)
+
+    def test_axis_matrices_hold_the_plan_weights(self, case):
+        # one stencil helper: each axis matrix column is the plan's stencil
+        modes, pts, _ = case
+        axis = np.unique(pts[:40, 0])
+        grid = np.stack([axis, np.zeros_like(axis), np.zeros_like(axis)], axis=1)
+        plan, lattice = GridderPlan(grid, modes, 1e-6), LatticeSpreader(grid, modes, 1e-6)
+        nodes = plan._ix // (plan.n_over * plan.n_over)
+        picked = lattice._axes[0][nodes, np.arange(len(axis))[:, None]]
+        assert np.array_equal(picked, plan._kx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property_random_small_lattices(self, data):
+        coord = st.floats(-np.pi, np.pi, exclude_max=True)
+        axes = [np.unique(data.draw(st.lists(coord, min_size=1, max_size=5)))
+                for _ in range(3)]
+        sites = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+        # a random occupied subset, coincident points included, filling at
+        # least the eighth of the lattice the spreader requires
+        keep = data.draw(st.lists(st.integers(0, len(sites) - 1),
+                                  min_size=-(-len(sites) // 8), max_size=2 * len(sites)))
+        modes = ModeGrid(h=1.0, m_half=data.draw(st.integers(2, 8)))
+        tol = 10.0 ** data.draw(st.floats(-9.0, -3.0))
+        assert_lattice_matches_gridder(sites[keep], modes, tol, data.draw(st.integers(1, 4)),
+                                       seed=data.draw(st.integers(0, 2**32 - 1)))
+
+    def test_scattered_cloud_rejected(self, case):
+        modes, pts, _ = case
+        with pytest.raises(ValueError, match="exceeds 8 sites per point") as info:
+            LatticeSpreader(pts, modes, 1e-6)
+        assert "\n" not in str(info.value)
+
+    def test_column_count_mismatch_rejected(self):
+        lattice = LatticeSpreader(np.zeros((2, 3)), ModeGrid(h=1.0, m_half=4), 1e-6)
+        with pytest.raises(ValueError, match="plan points"):
+            lattice.spread(np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.pi, -4.0])
+    def test_non_finite_or_out_of_range_points_rejected(self, bad):
+        pts = np.zeros((3, 3))
+        pts[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\[-pi, pi\)\^3") as info:
+            LatticeSpreader(pts, ModeGrid(h=1.0, m_half=4), 1e-6)
+        assert "\n" not in str(info.value)
