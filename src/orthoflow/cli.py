@@ -11,7 +11,8 @@ schema.  Exit codes:
 
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
             non-finite tau, stop_tol, surface.dx or surface.w_b and a volume
-            target outside (0, total measure)), 4 numerical failure
+            target outside (0, total measure)) or an output file that
+            cannot be written, 4 numerical failure
             during the run (DegenerateDeterminantError or
             NumericalHealthError); errors print one line on stderr
     tables  0 all entries match, 3 mismatches
@@ -158,10 +159,14 @@ def cmd_run(config_path, out_dir=None, snapshot_every=None) -> int:
     except (DegenerateDeterminantError, NumericalHealthError) as exc:
         print(f"error: numerical failure during the run: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    result.log.write_csv(out / "energy_log.csv")
-    for iteration, snap in result.snapshots:
-        write_snapshot(snap, out / f"snapshot_{iteration:06d}.mbof")
-    write_snapshot(result.final, out / "final.mbof")
+    try:
+        result.log.write_csv(out / "energy_log.csv")
+        for iteration, snap in result.snapshots:
+            write_snapshot(snap, out / f"snapshot_{iteration:06d}.mbof")
+        write_snapshot(result.final, out / "final.mbof")
+    except OSError as exc:
+        print(f"error: cannot write the run's output: {exc}", file=sys.stderr)
+        return 1
 
     final_energy = lyapunov_energy(result.final, mbo_cfg.backend)
     final_pv = result.log.rows[-1].plus_volume

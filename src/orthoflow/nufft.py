@@ -16,9 +16,11 @@ semicircle" (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 2019),
 stretched over w grid nodes per axis, with w growing like log10(1/tol).  Its
 Fourier transform has no closed form and is computed by Gauss-Legendre
 quadrature.  A GridderPlan's real-column spread (points -> grid) and gather
-(grid -> points) share one sparse block per point chunk; type1/type2 wrap
-them in a batched complex FFT.  A LatticeSpreader spreads points on a tensor
-lattice by per-axis matrices; both take their stencils from one helper.
+(grid -> points) share one sparse block of w^2 (x, y) pencil entries per
+point chunk and apply the z stencil as w z-shifted products on the grid
+padded periodically along z; type1/type2 wrap them in a batched complex FFT.
+A LatticeSpreader spreads points on a tensor lattice by per-axis matrices;
+both take their stencils from one helper.
 
 Scaled modes reduce to integer modes on rescaled points y = h*x (mod 2pi),
 which is how both transforms are computed internally.
@@ -45,8 +47,9 @@ DIRECT_GUARD = 10**8
 ES_BETA_PER_WIDTH = 2.30
 # Gauss-Legendre nodes per stencil point for the kernel transform
 ES_QUAD_PER_WIDTH = 4
-# points per sparse spreading block: bounds the block's memory per call
-SPREAD_CHUNK = 2048
+# stored entries per sparse pencil block (2048 points of a 9^3 stencil): at
+# kdim^2 entries per point that is SPREAD_CHUNK // kdim^2 points per block
+SPREAD_CHUNK = 2048 * 9**3
 
 
 @dataclass(frozen=True)
@@ -133,10 +136,15 @@ class GridderPlan:
     """Precomputed spreading geometry for one (points, modes, tol) triple.
 
     Holds, per point and axis, the kdim wrapped grid indices and ES kernel
-    values.  spread and gather assemble them, chunk by chunk, into one sparse
-    (points x grid) block that all C real columns share; type1/type2 pass a
-    complex column as its real and imaginary halves.  Reusable across many
-    coefficient arrays; the surface diffuser keeps one for its gather.
+    values.  The grid is padded periodically along z to n + kdim - 1 nodes,
+    so each point's z stencil is kdim consecutive padded rows.  spread and
+    gather assemble, chunk by chunk, one sparse block of kdim^2 entries per
+    point, kx * ky at the padded row of each (x, y) pencil's first z node,
+    that all C real columns share; the z axis is kdim products of the block
+    with the padded grid shifted by s rows, weighted by kz[:, s].  spread is
+    the exact transpose of gather.  type1/type2 pass a complex column as its
+    real and imaginary halves.  Reusable across many coefficient arrays; the
+    surface diffuser keeps one for its gather.
     """
 
     def __init__(self, points, modes: ModeGrid, tol: float):
@@ -146,18 +154,22 @@ class GridderPlan:
         self.npts = points.shape[0]
 
         m = modes.m_half
-        self.n_over = 4 * m
-        if self.n_over**3 > np.iinfo(np.int32).max:
-            raise ValueError("oversampled grid exceeds 2^31 nodes")
+        self.n_over = n = 4 * m
         self.kdim = es_width(self.tol)
+        # spread and gather work on the grid padded periodically to
+        # n + kdim - 1 nodes along z, whose row count must fit int32
+        self._pad_n = n + self.kdim - 1
+        if n * n * self._pad_n > np.iinfo(np.int32).max:
+            raise ValueError(f"z-padded grid {n}x{n}x{self._pad_n} exceeds 2^31 nodes")
         beta = ES_BETA_PER_WIDTH * self.kdim
 
-        nodes, kern = _stencil(points, modes.h, self.n_over, self.kdim)
-        # per-axis wrapped indices, pre-multiplied by the flattening strides
+        nodes, kern = _stencil(points, modes.h, n, self.kdim)
+        # (x, y) pencil indices pre-multiplied by the padded strides, and the
+        # first z node: the z stencil is the kdim padded rows from there on
         idx = nodes.astype(np.int32)
-        self._ix = idx[:, 0, :] * np.int32(self.n_over * self.n_over)
-        self._iy = idx[:, 1, :] * np.int32(self.n_over)
-        self._iz = idx[:, 2, :]
+        self._ix = idx[:, 0, :] * np.int32(n * self._pad_n)
+        self._iy = idx[:, 1, :] * np.int32(self._pad_n)
+        self._z0 = idx[:, 2, :1]
         self._kx, self._ky, self._kz = kern[:, 0, :], kern[:, 1, :], kern[:, 2, :]
 
         # deconvolution on the retained modes: the product over the axes of
@@ -170,39 +182,50 @@ class GridderPlan:
         self._mode_ix = np.ix_(*(np.mod(k, self.n_over),) * 3)
 
     def _blocks(self):
-        """Sparse (points, n_over^3) spreading blocks, one per point chunk."""
-        kcube = self.kdim**3
-        for lo in range(0, self.npts, SPREAD_CHUNK):
-            hi = min(lo + SPREAD_CHUNK, self.npts)
-            ids = (self._ix[lo:hi, :, None, None]
-                   + self._iy[lo:hi, None, :, None]
-                   + self._iz[lo:hi, None, None, :])
-            w3 = (self._kx[lo:hi, :, None, None]
-                  * self._ky[lo:hi, None, :, None]
-                  * self._kz[lo:hi, None, None, :])
+        """Sparse (x, y) pencil blocks, one per point chunk: entry (j, col) holds
+        kx * ky, col the padded-grid row of the pencil's first z node."""
+        wsq = self.kdim**2
+        chunk = SPREAD_CHUNK // wsq
+        ncols = self.n_over**2 * self._pad_n - (self.kdim - 1)
+        for lo in range(0, self.npts, chunk):
+            hi = min(lo + chunk, self.npts)
+            ids = (self._ix[lo:hi, :, None] + self._iy[lo:hi, None, :]
+                   + self._z0[lo:hi, :, None])
+            w2 = self._kx[lo:hi, :, None] * self._ky[lo:hi, None, :]
             # an int32 indptr keeps scipy from upcasting the int32 indices
-            indptr = np.arange(0, (hi - lo) * kcube + 1, kcube, dtype=np.int32)
+            indptr = np.arange(0, (hi - lo) * wsq + 1, wsq, dtype=np.int32)
             yield lo, hi, sparse.csr_array(
-                (w3.ravel(), ids.ravel(), indptr), shape=(hi - lo, self.n_over**3))
+                (w2.ravel(), ids.ravel(), indptr), shape=(hi - lo, ncols))
 
     def spread(self, cols) -> np.ndarray:
         """Real columns (N, C) spread onto the oversampled grid: (n, n, n, C)."""
         if cols.shape[0] != self.npts:
             raise ValueError("coefficient count does not match plan points")
         n = self.n_over
-        grid = np.zeros((n**3, cols.shape[1]))
+        padded = np.zeros((n * n * self._pad_n, cols.shape[1]))
         for lo, hi, block in self._blocks():
-            grid += block.T @ cols[lo:hi]
-        return grid.reshape(n, n, n, -1)
+            rows = block.shape[1]
+            for s in range(self.kdim):
+                padded[s:s + rows] += block.T @ (self._kz[lo:hi, s, None] * cols[lo:hi])
+        # fold the wrapped pad rows back onto z nodes mod n
+        padded = padded.reshape(n, n, self._pad_n, -1)
+        grid = padded[:, :, :n].copy()
+        for z in range(n, self._pad_n, n):
+            part = padded[:, :, z:z + n]
+            grid[:, :, :part.shape[2]] += part
+        return grid
 
     def gather(self, grid) -> np.ndarray:
         """Real grid columns (n, n, n, C) interpolated at the points: (N, C)."""
         if grid.shape[:3] != (self.n_over,) * 3:
             raise ValueError("grid does not match the oversampled grid")
-        cols = np.ascontiguousarray(grid).reshape(self.n_over**3, -1)
-        out = np.empty((self.npts, cols.shape[1]))
+        padded = np.take(grid, np.arange(self._pad_n) % self.n_over, axis=2)
+        padded = padded.reshape(self.n_over**2 * self._pad_n, -1)
+        out = np.empty((self.npts, padded.shape[1]))
         for lo, hi, block in self._blocks():
-            out[lo:hi] = block @ cols
+            rows = block.shape[1]
+            out[lo:hi] = sum(self._kz[lo:hi, s, None] * (block @ padded[s:s + rows])
+                             for s in range(self.kdim))
         return out
 
     def type1(self, coeffs) -> np.ndarray:

@@ -200,6 +200,20 @@ class TestFailureExitCodes:
         assert err == "error: numerical failure during the run: synthetic failure\n"
         assert not (tmp_path / "o" / "final.mbof").exists()
 
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        # the run succeeds, but energy_log.csv is a directory
+        cfg = write_config(tmp_path / "cfg.txt", """
+            scenario.name = torus_disk_n1
+            grid.size = 32
+            run.max_iters = 3
+        """)
+        (tmp_path / "o" / "energy_log.csv").mkdir(parents=True)
+        code = cmd_run(cfg, out_dir=tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot write the run's output: ")
+        assert err.count("\n") == 1 and "energy_log.csv" in err
+
 
 class TestCheckReport:
     def test_reports_defect_and_det_range(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser, band_width,
                                     build_band, peanut_surface)
+from orthoflow import nufft
 from orthoflow.nufft import (GridderPlan, LatticeSpreader, ModeGrid, direct_type1,
                              direct_type2, es_width, nufft_type1, nufft_type2)
 
@@ -221,6 +222,74 @@ class TestMultiColumn:
         assert np.array_equal(plan.gather(grid), plan.gather(grid))
 
 
+def dense_spread_matrix(plan, pts):
+    """The (points, n^3) spreading matrix summed entry by entry over each
+    point's kdim^3 stencil from the per-axis nodes and the plan's weights."""
+    n, w = plan.n_over, plan.kdim
+    nodes, _ = nufft._stencil(pts, plan.modes.h, n, w)
+    flat = (nodes[:, 0, :, None, None] * n * n + nodes[:, 1, None, :, None] * n
+            + nodes[:, 2, None, None, :])
+    vals = (plan._kx[:, :, None, None] * plan._ky[:, None, :, None]
+            * plan._kz[:, None, None, :])
+    dense = np.zeros((len(pts), n**3))
+    rows = np.broadcast_to(np.arange(len(pts))[:, None, None, None], flat.shape)
+    np.add.at(dense, (rows, flat), vals)        # wide stencils wrap onto a node twice
+    return dense
+
+
+class TestPencilCore:
+    """spread and gather are one explicit w^3-stencil matrix and its transpose."""
+
+    # m_half 2 at tol 1e-12: w = 15 > n = 8, so the z pad wraps twice
+    @pytest.fixture(params=[(2, 1e-12), (4, 1e-6)], ids=["m2-tol1e-12", "m4-tol1e-6"])
+    def plan_and_points(self, request):
+        m_half, tol = request.param
+        rng = np.random.default_rng(m_half)
+        pts = rng.uniform(-np.pi, np.pi, (60, 3))
+        pts[0] = -np.pi
+        pts[1] = np.nextafter(np.pi, 0.0)
+        pts[2] = [-np.pi, np.nextafter(np.pi, 0.0), 0.0]
+        return GridderPlan(pts, ModeGrid(h=1.0, m_half=m_half), tol), pts
+
+    @pytest.mark.parametrize("ncols", [1, 9])
+    @pytest.mark.parametrize("chunk", [None, 81 * 7])
+    def test_spread_gather_equal_dense_reference(self, plan_and_points, ncols, chunk,
+                                                 monkeypatch):
+        plan, pts = plan_and_points
+        if chunk is not None:
+            # several point chunks, the last one partial
+            monkeypatch.setattr(nufft, "SPREAD_CHUNK", chunk)
+        n = plan.n_over
+        dense = dense_spread_matrix(plan, pts)
+        rng = np.random.default_rng(ncols)
+        grid = rng.standard_normal((n, n, n, ncols))
+        cols = rng.standard_normal((len(pts), ncols))
+        want_gather = dense @ grid.reshape(n**3, ncols)
+        want_spread = (dense.T @ cols).reshape(n, n, n, ncols)
+        assert rel_max_err(plan.gather(grid), want_gather) <= 1e-14
+        assert rel_max_err(plan.spread(cols), want_spread) <= 1e-14
+
+    def test_adjoint(self, plan_and_points):
+        plan, pts = plan_and_points
+        n = plan.n_over
+        rng = np.random.default_rng(11)
+        grid = rng.standard_normal((n, n, n, 3))
+        cols = rng.standard_normal((len(pts), 3))
+        lhs = np.sum(plan.gather(grid) * cols)
+        rhs = np.sum(grid * plan.spread(cols))
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    def test_int32_guard_covers_the_padded_grid(self):
+        # n = 1288 fits n^3 in int32 but not n^2 (n + w - 1); a single point
+        # keeps a broken guard from allocating anything large before it
+        m_half, tol = 322, 1e-6
+        n, w = 4 * m_half, es_width(tol)
+        assert n**3 <= np.iinfo(np.int32).max < n * n * (n + w - 1)
+        with pytest.raises(ValueError, match="exceeds 2\\^31") as info:
+            GridderPlan(np.zeros((1, 3)), ModeGrid(h=1.0, m_half=m_half), tol)
+        assert "\n" not in str(info.value)
+
+
 class TestWidthRule:
     @pytest.mark.parametrize("tol,width", [(1e-2, 5), (1e-3, 6), (1e-6, 9),
                                            (1e-9, 12), (1e-12, 15)])
@@ -304,7 +373,7 @@ class TestLatticeSpreader:
         axis = np.unique(pts[:40, 0])
         grid = np.stack([axis, np.zeros_like(axis), np.zeros_like(axis)], axis=1)
         plan, lattice = GridderPlan(grid, modes, 1e-6), LatticeSpreader(grid, modes, 1e-6)
-        nodes = plan._ix // (plan.n_over * plan.n_over)
+        nodes = plan._ix // (plan.n_over * (plan.n_over + plan.kdim - 1))
         picked = lattice._axes[0][nodes, np.arange(len(axis))[:, None]]
         assert np.array_equal(picked, plan._kx)
 
