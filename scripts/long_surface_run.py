@@ -4,7 +4,7 @@ Runs plain MBO for at least 200 steps (stop_tol = 0) on the desk sphere
 (dx 0.2, tau 0.05) and the desk peanut (dx 0.3, tau 0.1), each from a seeded
 random O(3) field, and checks that no logged energy rises by more than the
 acceptance slack 1e-9 * n * measure / tau.  Prints one line per band and
-exits 1 if any band breaks the bound.  About 0.2 s of CPU per step:
+exits 1 if any band breaks the bound.  About 0.15 s of CPU per step (one BLAS thread):
 
     PYTHONPATH=src python scripts/long_surface_run.py [--steps 200] [--seed 0]
 """

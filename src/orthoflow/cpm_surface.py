@@ -14,9 +14,10 @@ and the Fourier-space evaluation uses the 1D kernel expansion
 
 on a mode lattice of spacing h, tensorized over the three axes.  The two
 Fourier sums (band points -> modes, modes -> surface points) are a type-1
-and a type-2 NUFFT; the step is real, so they run fused: ES-kernel spread,
-one real FFT, one real multiplier, one inverse real FFT and the gather, for
-all n^2 matrix components at once (the spread separable on the band lattice).
+and a type-2 NUFFT; the step is real, so they run fused, for all n^2 matrix
+components at once: the truncated heat multiplier is folded at set-up into
+the per-axis matrices of the separable band-lattice spread, whose real part
+the step keeps, and the gather follows, with no FFT per step.
 
 Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
 step; the diffusion time rescales by the squared map factor.
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 from scipy.special import erfc
@@ -425,15 +425,16 @@ def _chunked_closest(surface, points, chunk: int = 262144):
 # ---------------------------------------------------------------------------
 
 class SurfaceDiffuser:
-    """Spectral heat step on a band: spread -> rfftn -> *H -> irfftn -> gather.
+    """Spectral heat step on a band: filtered lattice spread -> gather.
 
-    Precomputes the affine map into [-pi, pi)^3, the mode lattice, the band's
-    LatticeSpreader, the closest points' GridderPlan, a scalar normalization
-    fixing the constant field (almost) exactly, and H on the rfftn half spectrum.
-    H folds both ES deconvolutions, the damping exp(-|m|^2 tau), the constant
-    and the FFT normalisations into one real factor; mode k has the weight
-    (chi_S(k) + chi_S(-k))/2, S = [-M, M-1]^3 the kept lattice, which is the
-    real part of type-1 -> damp -> type-2, so H is exactly even.
+    Precomputes the affine map into [-pi, pi)^3, the mode lattice, the
+    closest points' GridderPlan, the per-axis heat multiplier mu, the band's
+    LatticeSpreader filtered by mu, and a scalar normalization fixing the
+    constant field (almost) exactly.  mu folds both ES deconvolutions, the
+    damping exp(-m^2 h^2 tau), the constant and the FFT normalisations into
+    one factor per axis, kept on [-M, M-1] only.  Mode k of the step then has
+    the weight (chi_S(k) + chi_S(-k))/2, S = [-M, M-1]^3 the kept lattice:
+    the real part of type-1 -> damp -> type-2, with no FFT per step.
     """
 
     def __init__(self, band: BandSet, tau: float, eps: float | None = None):
@@ -460,20 +461,17 @@ class SurfaceDiffuser:
 
         src = (band.quad_points - self.center) * self.scale
         tgt = (band.closest_points - self.center) * self.scale
-        self._spreader = LatticeSpreader(src, self.modes, eps)
         self._tgt_plan = GridderPlan(tgt, self.modes, eps)
 
-        # per axis: the spread's and gather's deconvolutions (equal, taken at
-        # -|k| so even) times the damping, and membership of S and of -S
+        # mu per axis: both deconvolutions (equal, taken at -|k| so even), the
+        # damping and constants, kept on [-M, M-1]; H = (mu_x mu_y mu_z + mirror)/2
+        # and the mirror term is the conjugate, so H is the filtered spread's real part
         m, n, h = self.modes.m_half, self._tgt_plan.n_over, self.modes.h
-        k_full, k_half = np.fft.fftfreq(n, 1.0 / n), np.fft.rfftfreq(n, 1.0 / n)
-        heat, kept, mirror = (h / (2.0 * np.pi * n)) ** 3, 1, 1
-        for k in (k_full[:, None, None], k_full[None, :, None], k_half[None, None, :]):
-            g = self._tgt_plan.axis_deconv[m - np.minimum(np.abs(k), m).astype(int)]
-            heat = heat * (g * g * np.exp(-(h * k) ** 2 * self.tau_scaled))
-            kept = kept * ((k >= -m) & (k < m))
-            mirror = mirror * ((k > -m) & (k <= m))
-        self._heat = heat * (0.5 * (kept + mirror))
+        k = np.fft.fftfreq(n, 1.0 / n)
+        g = self._tgt_plan.axis_deconv[m - np.minimum(np.abs(k), m).astype(int)]
+        self._mu = (g * g * np.exp(-(h * k) ** 2 * self.tau_scaled) * (h / (2.0 * np.pi * n))
+                    * ((k >= -m) & (k < m)))
+        self._spreader = LatticeSpreader(src, self.modes, eps).filtered(self._mu)
 
         # calibrate the residual scalar on the constant field
         self._kappa = 1.0 / float(self._apply(np.ones((band.n_q, 1))).max())
@@ -481,9 +479,6 @@ class SurfaceDiffuser:
     def _apply(self, values: np.ndarray) -> np.ndarray:
         """Raw pipeline on (n_q, C) real values, before kappa."""
         grid = self._spreader.spread(self.band.quad_weights[:, None] * values)
-        spec = scipy.fft.rfftn(grid, axes=(0, 1, 2))
-        spec *= self._heat[..., None]
-        grid = scipy.fft.irfftn(spec, s=grid.shape[:3], axes=(0, 1, 2), overwrite_x=True)
         return self._tgt_plan.gather(grid)
 
     def diffuse_values(self, values: np.ndarray) -> np.ndarray:

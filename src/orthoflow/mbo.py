@@ -73,6 +73,8 @@ class MboConfig:
             raise ValueError("stop_tol must be finite and >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be >= 0 (0 writes no snapshots)")
 
     @property
     def tau(self) -> float:

@@ -19,8 +19,9 @@ quadrature.  A GridderPlan's real-column spread (points -> grid) and gather
 (grid -> points) share one sparse block of w^2 (x, y) pencil entries per
 point chunk and apply the z stencil as w z-shifted products on the grid
 padded periodically along z; type1/type2 wrap them in a batched complex FFT.
-A LatticeSpreader spreads points on a tensor lattice by per-axis matrices;
-both take their stencils from one helper.
+A LatticeSpreader spreads points on a tensor lattice by per-axis matrices,
+into which filtered() folds a per-axis Fourier multiplier once, so a
+filtered spread needs no FFT; both take their stencils from one helper.
 
 Scaled modes reduce to integer modes on rescaled points y = h*x (mod 2pi),
 which is how both transforms are computed internally.
@@ -28,6 +29,7 @@ which is how both transforms are computed internally.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,7 +261,8 @@ class LatticeSpreader:
     """GridderPlan.spread for points on a tensor lattice of at most 8 sites per
     point: the columns are summed onto the dense lattice of the distinct
     per-axis coordinates (coincident points add), then the dense (n_over, L_a)
-    ES matrix of each axis is applied in turn."""
+    ES matrix of each axis is applied in turn.  filtered(mult) folds a Fourier
+    multiplier into those matrices (complex; spread keeps the real part)."""
 
     def __init__(self, points, modes: ModeGrid, tol: float):
         points = _check_points(points)
@@ -285,7 +288,18 @@ class LatticeSpreader:
         np.add.at(lattice, self._site, cols)
         sx, sy, sz = self._axes
         grid = sy @ (sz @ lattice.reshape(lx * ly, lz, c)).reshape(lx, ly, n * c)
-        return (sx @ grid.reshape(lx, -1)).reshape(n, n, n, c)
+        grid = grid.reshape(lx, -1)
+        if np.iscomplexobj(sx):     # only the real part of the x product is kept
+            return (sx.real @ grid.real - sx.imag @ grid.imag).reshape(n, n, n, c)
+        return (sx @ grid).reshape(n, n, n, c)
+
+    def filtered(self, mult) -> LatticeSpreader:
+        """This spread followed by ifftn(mult_x mult_y mult_z * fftn(grid)).real:
+        each axis matrix becomes ifft(mult * fft(S_a)), mult on fftfreq(n_over)."""
+        out = copy.copy(self)
+        out._axes = [np.fft.ifft(mult[:, None] * np.fft.fft(s, axis=0), axis=0)
+                     for s in self._axes]
+        return out
 
 
 def nufft_type1(points, coeffs, modes: ModeGrid, tol: float) -> np.ndarray:

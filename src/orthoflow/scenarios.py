@@ -94,6 +94,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ConfigurationError(f"unknown scenario {self.name!r}")
+        if not 0 < self.disk_radius < np.inf:
+            raise ConfigurationError(
+                f"disk_radius must be positive and finite, got {self.disk_radius!r}")
 
 
 def _torus_mesh(grid: GridSpec):

@@ -294,8 +294,13 @@ class TestNonFiniteRunParameters:
         (SPHERE, "run.tau = inf"),
         (TORUS, "run.stop_tol = nan"),
         (TORUS, "run.stop_tol = inf"),
+        (TORUS, "output.snapshot_every = -5"),
+        (TORUS, "scenario.disk_radius = nan"),
+        (TORUS, "scenario.disk_radius = -1"),
+        (TORUS, "scenario.disk_radius = 0"),
     ], ids=["torus_tau_nan", "torus_tau_inf", "torus_tau_neg_inf", "sphere_tau_nan",
-            "sphere_tau_inf", "stop_tol_nan", "stop_tol_inf"])
+            "sphere_tau_inf", "stop_tol_nan", "stop_tol_inf", "snapshot_every_negative",
+            "disk_radius_nan", "disk_radius_negative", "disk_radius_zero"])
     def test_exit_one_with_one_error_line(self, tmp_path, capsys, base, line):
         cfg = write_config(tmp_path / "cfg.txt", base + "\n" + line + "\n")
         with warnings.catch_warnings():
@@ -305,6 +310,15 @@ class TestNonFiniteRunParameters:
         assert code == 1
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "error:" not in captured.out
+
+    def test_negative_snapshot_flag_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", self.TORUS)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--snapshot-every", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: snapshot_every must be >= 0 (0 writes no snapshots)\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("dx", "nan"), ("dx", "inf"), ("w_b", "nan"), ("w_b", "inf"), ("w_b", "-inf"),

@@ -387,7 +387,7 @@ def test_callable_surface_matches_sphere(sphere_band, sphere_diffuser):
 
 
 class TestFusedHeatStep:
-    """The real-FFT step: one even multiplier on the rfftn half spectrum."""
+    """The FFT-free step: the heat multiplier folded into the lattice spread."""
 
     @staticmethod
     def complex_reference(dif, values):
@@ -413,21 +413,18 @@ class TestFusedHeatStep:
         ref = 1.0 / self.complex_reference(dif, np.ones((band.n_q, 1))).max()
         assert abs(dif._kappa - ref) <= 1e-14 * ref
 
-    def test_heat_multiplier_is_even(self, desk):
-        # irfftn extends H by H(-k) = H(k) off the kz = 0 and kz = n/2
-        # planes, so those two planes must equal their own reflection
+    def test_axis_multiplier_cut_to_kept_modes(self, desk):
+        # mu is cut one-sidedly to [-M, M-1]; the mirror weight of the lone -M
+        # row comes from the real part of the filtered spread, not from mu
         _, dif = desk
         n, m = dif._tgt_plan.n_over, dif.modes.m_half
-        heat = dif._heat
-        assert heat.shape == (n, n, n // 2 + 1) and heat.dtype == np.float64
-        for kz in (0, n // 2):
-            plane = heat[..., kz]
-            assert np.array_equal(plane, np.roll(plane[::-1, ::-1], 1, axis=(0, 1)))
-        # the kept lattice's lone -M row and its mirror +M carry equal weight
-        assert heat[n - m, 0, 0] == heat[m, 0, 0] > 0.0
-        assert heat[m + 1, 0, 0] == 0.0
+        k = np.fft.fftfreq(n, 1.0 / n)
+        kept = (k >= -m) & (k < m)
+        assert dif._mu.shape == (n,) and dif._mu.dtype == np.float64
+        assert np.all(dif._mu[~kept] == 0.0) and np.all(dif._mu[kept] > 0.0)
+        assert dif._mu[n - m] > 0.0 and dif._mu[m] == 0.0
 
-    def test_one_real_fft_pair_one_lattice_spread_and_one_block_set(
+    def test_no_fft_one_lattice_spread_and_one_block_set(
             self, sphere_diffuser, sphere_band, monkeypatch):
         calls = {}
 
@@ -440,14 +437,13 @@ class TestFusedHeatStep:
             monkeypatch.setattr(owner, name, counted)
 
         for module in (scipy.fft, np.fft):
-            for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
                 count(module, name, f"{module.__name__}.{name}")
         count(GridderPlan, "_blocks", "blocks")
         count(LatticeSpreader, "spread", "lattice")
         field = sphere_band.constant_field(3, np.eye(3))
         sphere_diffuser.diffuse(field)            # C = 9 columns
-        assert calls == {"scipy.fft.rfftn": 1, "scipy.fft.irfftn": 1, "blocks": 1,
-                         "lattice": 1}
+        assert calls == {"blocks": 1, "lattice": 1}
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])

@@ -350,6 +350,28 @@ def assert_lattice_matches_gridder(pts, modes, tol, ncols, seed=0):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def wrapping_lattice():
+    """A 4^3 lattice whose stencils wrap, with point 5 three times."""
+    axis = np.array([-np.pi, -1.0, 0.25, np.nextafter(np.pi, 0.0)])
+    pts = np.stack(np.meshgrid(axis, axis[::-1], axis, indexing="ij"), -1).reshape(-1, 3)
+    return np.concatenate([pts, pts[[5, 5, 17]]])
+
+
+def assert_filtered_matches_fft(pts, modes, tol, ncols):
+    n, m = 4 * modes.m_half, modes.m_half
+    k = np.fft.fftfreq(n, 1.0 / n)
+    # not even, and cut one-sidedly to [-M, M-1]: zero at +M, nonzero at -M
+    mu = np.exp(-0.02 * k * k) * (1.0 + 0.5 * np.sin(k)) * ((k >= -m) & (k < m))
+    cols = np.random.default_rng(1).standard_normal((len(pts), ncols))
+    lattice = LatticeSpreader(pts, modes, tol)
+    mult = (mu[:, None, None] * mu[None, :, None] * mu[None, None, :])[..., None]
+    want = np.fft.ifftn(mult * np.fft.fftn(lattice.spread(cols), axes=(0, 1, 2)),
+                        axes=(0, 1, 2)).real
+    got = lattice.filtered(mu).spread(cols)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestLatticeSpreader:
     """The separable lattice spread equals the sparse-block spread."""
 
@@ -361,11 +383,18 @@ class TestLatticeSpreader:
         assert_lattice_matches_gridder(pts, modes, tol, ncols)
 
     def test_wrapping_stencils_and_coincident_points(self):
-        axis = np.array([-np.pi, -1.0, 0.25, np.nextafter(np.pi, 0.0)])
-        pts = np.stack(np.meshgrid(axis, axis[::-1], axis, indexing="ij"), -1).reshape(-1, 3)
-        pts = np.concatenate([pts, pts[[5, 5, 17]]])     # point 5 three times
+        pts = wrapping_lattice()
         for ncols in (1, 9):
             assert_lattice_matches_gridder(pts, ModeGrid(h=1.0, m_half=6), 1e-9, ncols)
+
+    @pytest.mark.parametrize("ncols", [1, 9])
+    def test_filtered_matches_fft_on_desk_bands(self, desk_quad, ncols):
+        pts, modes, tol = desk_quad
+        assert_filtered_matches_fft(pts, modes, tol, ncols)
+
+    @pytest.mark.parametrize("ncols", [1, 9])
+    def test_filtered_wrapping_stencils_and_coincident_points(self, ncols):
+        assert_filtered_matches_fft(wrapping_lattice(), ModeGrid(h=1.0, m_half=6), 1e-9, ncols)
 
     def test_axis_matrices_hold_the_plan_weights(self, case):
         # one stencil helper: each axis matrix column is the plan's stencil

@@ -122,6 +122,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ScenarioSpec("torus_moebius")
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0, 0.0])
+    def test_disk_radius_positive_and_finite(self, grid, radius):
+        with pytest.raises(ConfigurationError, match="disk_radius must be positive and finite"):
+            ScenarioSpec("torus_disk_n1", grid=grid, disk_radius=radius)
+
     def test_missing_layout(self, grid):
         with pytest.raises(ConfigurationError):
             build_initial(ScenarioSpec("sphere_two_patches", grid=grid))
