@@ -18,7 +18,7 @@ from .field import (EnergyLog, GridSpec, MatrixField, interface_cells,
 from .matgeom import (SvdResult, frobenius_inner, nearest_opposite,
                       nearest_orthogonal, svd, t_minus, t_plus)
 from .mbo import (Diffuser, MboConfig, RunResult, delta_e, lyapunov_energy,
-                  mbo_run, mbo_step, select_threshold, volume_mbo_step)
+                  mbo_run, mbo_step, select_threshold)
 from .nufft import ModeGrid, direct_type1, direct_type2, nufft_type1, nufft_type2
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, build_initial, builtin_surface
 from .torus_heat import TorusDiffuser, diffuse_torus, heat_multiplier

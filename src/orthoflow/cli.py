@@ -10,9 +10,9 @@ Configs are flat key = value text (# comments); see the README for the
 schema.  Exit codes:
 
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
-            non-finite tau, stop_tol, surface.dx or surface.w_b and a volume
-            target outside (0, total measure)) or an output file that
-            cannot be written, 4 numerical failure
+            key outside the schema, a non-finite tau, stop_tol, surface.dx
+            or surface.w_b and a volume target outside (0, total measure))
+            or an output file that cannot be written, 4 numerical failure
             during the run (DegenerateDeterminantError or
             NumericalHealthError); errors print one line on stderr
     tables  0 all entries match, 3 mismatches
@@ -59,6 +59,12 @@ REFERENCE_MODE_COUNTS = (
     (17, 50, 154, 475),
 )
 
+# the README's config schema; any other key is an error, not a silent default
+CONFIG_KEYS = frozenset(
+    "scenario.name scenario.disk_radius scenario.winding_index grid.size run.tau "
+    "run.max_iters run.stop_tol run.volume_target surface.name surface.dx surface.p "
+    "surface.eps surface.w_b output.snapshot_every output.dir".split())
+
 
 # ---------------------------------------------------------------------------
 # Config files
@@ -93,7 +99,10 @@ def _get(cfg, key, cast, default=None, required=False):
 
 
 def _build_run(cfg: dict):
-    """Construct (initial field, MboConfig, summary dict) from a parsed config."""
+    """Construct (initial field, MboConfig) from a parsed config."""
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigurationError("unknown config key " + ", ".join(map(repr, unknown)))
     name = _get(cfg, "scenario.name", str, required=True)
     if name not in SCENARIO_NAMES:
         raise ConfigurationError(

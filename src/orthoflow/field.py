@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import SnapshotFormatError, UnderResolvedError
+from .matgeom import determinants
 
 __all__ = [
     "GridSpec",
@@ -160,15 +161,18 @@ class MatrixField:
                            weights=self._weights)
 
     def dets(self) -> np.ndarray:
-        return np.linalg.det(self.data)
+        return determinants(self.data)
 
     def orthogonality_defect(self) -> float:
         """max_x || A^t A - I ||_F over the field (nan if any entry is nan).
 
-        Loops over the n(n+1)/2 Gram entries, each vectorised over the points.
+        Loops over the Gram entries for n <= 3, one batched product for n > 3.
         """
         a = self.flat()
         n = self.n
+        if n > 3:
+            g = np.swapaxes(a, -1, -2) @ a - np.eye(n)
+            return float(np.sqrt(np.einsum("pij,pij->p", g, g).max()))
         sq = np.zeros(self.npoints)
         for i in range(n):
             for j in range(i, n):

@@ -24,7 +24,8 @@ distances are ||T - A||_F^2, which equals
     nearest opposite       sum_i (sigma_i - 1)^2 + 4 sigma_min
 
 where "opposite" means the component of O(n) whose determinant sign is
--sign(det A).  Determinants are closed-form for n <= 3.
+-sign(det A).  Determinants, shared by the kernel and the field diagnostics,
+are closed-form for n <= 3 and LAPACK's for n >= 4.
 """
 
 from __future__ import annotations
@@ -37,15 +38,14 @@ from .errors import DegenerateDeterminantError
 
 __all__ = [
     "SvdResult",
-    "ProjectionResult",
     "svd",
+    "determinants",
     "frobenius_inner",
     "nearest_orthogonal",
     "nearest_opposite",
     "t_plus",
     "t_minus",
     "orthogonal_projections",
-    "project_orthogonal_stack",
 ]
 
 
@@ -64,21 +64,6 @@ class SvdResult:
         return (self.u * self.sigma) @ self.v.T
 
 
-class ProjectionResult(tuple):
-    """The tuple a stacked projection returns, with the kernel's by-products.
-
-    Unpacks like a plain tuple; ``plus`` is the mask of matrices the nearest
-    orthogonal projection sends to SO(n) (det >= 0) and ``det`` holds the
-    determinants of the input matrices.
-    """
-
-    def __new__(cls, items, plus: np.ndarray, det: np.ndarray):
-        self = super().__new__(cls, items)
-        self.plus = plus
-        self.det = det
-        return self
-
-
 def _check_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -88,8 +73,8 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack (..., n, n); cofactor expansion for n <= 3."""
+def determinants(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (..., n, n); cofactors for n <= 3, else LAPACK."""
     n = m.shape[-1]
     if n == 1:
         return m[..., 0, 0].copy()
@@ -129,7 +114,7 @@ def _matrix2(m00, m01, m10, m11) -> np.ndarray:
 def _kernel(mats: np.ndarray):
     """(T+, T-, gain, det) for a stack (..., n, n), as in the module docstring."""
     n = mats.shape[-1]
-    det = _det(mats)
+    det = determinants(mats)
     if n == 1:
         ones = np.ones_like(mats)
         return ones, -ones, 2.0 * mats[..., 0, 0], det
@@ -147,7 +132,7 @@ def _kernel(mats: np.ndarray):
     uv = u @ vh
     u[..., :, -1] = -u[..., :, -1]
     uvd = u @ vh
-    so = (_det(uv) > 0)[..., None, None]
+    so = (determinants(uv) > 0)[..., None, None]
     gain = 2.0 * s[..., -1] * np.sign(det)
     return np.where(so, uv, uvd), np.where(so, uvd, uv), gain, det
 
@@ -217,37 +202,22 @@ def t_minus(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Stacked versions for pointwise field projections.
+# The stacked projection for pointwise field projections.
 # ---------------------------------------------------------------------------
 
-def orthogonal_projections(mats: np.ndarray) -> ProjectionResult:
+def orthogonal_projections(mats: np.ndarray):
     """Per-matrix SO/SO- projections for a stack of shape (..., n, n).
 
-    Returns (plus, minus, delta_e, singular) where
+    Returns (plus, minus, delta_e, singular, det) where
 
         plus[i]    nearest matrix in SO(n)
         minus[i]   nearest matrix in SO-(n)
         delta_e[i] <plus - minus, mats>_F  ( = 2 sigma_min sign(det) )
         singular   boolean mask of exactly-zero determinants
+        det[i]     det mats[i]
 
     Singular entries follow the plus-branch convention: delta_e is 0 there and
-    both projections are still valid elements of their components.  The
-    result also carries the kernel's ``plus`` mask and ``det``.
+    both projections are still valid elements of their components.
     """
     plus, minus, gain, det = _kernel(np.asarray(mats, dtype=float))
-    return ProjectionResult((plus, minus, gain, det == 0.0), det >= 0.0, det)
-
-
-def project_orthogonal_stack(mats: np.ndarray) -> ProjectionResult:
-    """Pointwise nearest-orthogonal projection of a stack (..., n, n).
-
-    Nonsingular entries keep their determinant sign; entries with det
-    exactly 0 are assigned to SO(n) by convention.  Returns
-    (projected, singular_count), carrying the kernel's ``plus`` mask (the
-    entries sent to SO(n)) and ``det``.
-    """
-    plus, minus, _, det = _kernel(np.asarray(mats, dtype=float))
-    take_plus = det >= 0.0
-    projected = np.where(take_plus[..., None, None], plus, minus)
-    n_sing = int(np.count_nonzero(det == 0.0))
-    return ProjectionResult((projected, n_sing), take_plus, det)
+    return plus, minus, gain, det == 0.0, det

@@ -1,13 +1,14 @@
 """The generalized MBO iteration and its volume-constrained variant.
 
-One step diffuses the matrix field for time tau and reassigns every point to
-the nearest orthogonal matrix (plain variant), or to the nearest element of
-SO(n)/SO-(n) chosen by thresholding the pointwise gain
+One step, mbo_step, diffuses the field for time tau and sends every point to
+T+ or T-, the nearest elements of SO(n) and SO-(n) to the diffused A~(x):
+T+ where det A~ >= 0 (plain variant), or where the gain
 
     delta_e(x) = < T+(A~(x)) - T-(A~(x)), A~(x) >_F = 2 sigma_min sign(det A~)
 
-so the plus region matches a prescribed measure V (volume-preserving
-variant).  The iteration monitor is the interpolated Dirichlet energy
+clears a threshold that gives the plus region a prescribed measure V
+(volume-preserving variant).  The iteration monitor is the interpolated
+Dirichlet energy
 
     E_tau(A) = (1/tau) sum_i w_i ( n - <A_i, (e^{tau L} A)_i>_F ),
 
@@ -25,9 +26,8 @@ from typing import Protocol
 import numpy as np
 
 from .errors import NumericalHealthError
-# plus_volume stays importable here: perfbench traces orthoflow.mbo.plus_volume
-from .field import EnergyLog, MatrixField, plus_volume  # noqa: F401
-from .matgeom import orthogonal_projections, project_orthogonal_stack
+from .field import EnergyLog, MatrixField
+from .matgeom import orthogonal_projections
 
 __all__ = [
     "Diffuser",
@@ -37,7 +37,6 @@ __all__ = [
     "RunResult",
     "lyapunov_energy",
     "mbo_step",
-    "volume_mbo_step",
     "select_threshold",
     "delta_e",
     "mbo_run",
@@ -133,11 +132,15 @@ def _max_frobenius(data: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", flat, flat).max()))
 
 
-def _start_step(f: MatrixField, cfg: MboConfig, plus):
-    """Diffuse f, check the result is finite and take f's energy from it.
+def mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
+    """Diffuse, then send every point to T+ (SO(n)) or T- (SO-(n)).
 
-    Checks f unless plus is given.  Returns (diffused, f's energy, the
-    largest pointwise Frobenius norm of diffused, f's plus mask).
+    A point takes T+ where det A~ >= 0 when cfg.volume_target is None, and
+    otherwise where select_threshold puts it in the prefix of largest gain.
+
+    plus is f's flattened SO(n) mask when the caller has it from the step
+    that made (and checked) f, as mbo_run does; without it f is checked
+    here and its mask is read off its determinants.
     """
     if plus is None:
         f.require_orthogonal()
@@ -146,39 +149,29 @@ def _start_step(f: MatrixField, cfg: MboConfig, plus):
     frob = _max_frobenius(diffused.data)
     if not np.isfinite(frob):
         raise NumericalHealthError("non-finite diffusion result")
-    return diffused, _energy(f, diffused, cfg.tau), frob, plus
-
-
-def _finish_step(f, new_data, energy, frob, singular, det, old_plus, new_plus):
-    """Wrap and check the projection output; one pass over its statistics."""
+    energy = _energy(f, diffused, cfg.tau)
+    t_plus, t_minus, gain, singular, det = orthogonal_projections(diffused.flat())
+    if cfg.volume_target is None:
+        new_plus = det >= 0.0
+    else:
+        thr = select_threshold(gain, f.weights, cfg.volume_target)
+        new_plus = np.zeros(f.npoints, dtype=bool)
+        new_plus[thr.plus_indices] = True
+    new_data = np.where(new_plus[:, None, None], t_plus, t_minus)
     new = f.copy_with(new_data.reshape(f.data.shape))
     try:
         new.require_orthogonal()
     except ValueError as exc:
         raise NumericalHealthError(f"projection output: {exc}") from exc
-    max_change = _max_frobenius(new.data - f.data)
-    flips = int(np.count_nonzero(new_plus != old_plus))
-    return new, StepStats(energy, max_change, flips, singular, frob,
+    flips = int(np.count_nonzero(new_plus != plus))
+    return new, StepStats(energy, _max_frobenius(new.data - f.data), flips,
+                          int(np.count_nonzero(singular)), frob,
                           float(np.abs(det).max()), new_plus)
-
-
-def mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
-    """Diffuse then project pointwise onto the nearest orthogonal matrix.
-
-    plus is f's flattened SO(n) mask when the caller has it from the step
-    that made (and checked) f, as mbo_run does; without it f is checked
-    here and its mask is read off its determinants.
-    """
-    diffused, energy, frob, plus = _start_step(f, cfg, plus)
-    proj = project_orthogonal_stack(diffused.flat())
-    projected, n_singular = proj
-    return _finish_step(f, projected, energy, frob, n_singular, proj.det,
-                        plus, proj.plus)
 
 
 def delta_e(diffused: MatrixField) -> np.ndarray:
     """Pointwise reassignment gain <T+ - T-, A~>_F, flattened to (npoints,)."""
-    _, _, gain, _ = orthogonal_projections(diffused.flat())
+    _, _, gain, _, _ = orthogonal_projections(diffused.flat())
     return gain
 
 
@@ -206,26 +199,8 @@ def select_threshold(values, weights, target: float) -> ThresholdResult:
     return ThresholdResult(float(lam), plus)
 
 
-def volume_mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
-    """Diffuse, then reassign to T+/T- so the plus measure matches the target.
-
-    plus is as for mbo_step.
-    """
-    if cfg.volume_target is None:
-        raise ValueError("volume_mbo_step needs cfg.volume_target")
-    diffused, energy, frob, plus = _start_step(f, cfg, plus)
-    proj = orthogonal_projections(diffused.flat())
-    t_plus, t_minus, gain, singular = proj
-    thr = select_threshold(gain, f.weights, cfg.volume_target)
-    new_plus = np.zeros(f.npoints, dtype=bool)
-    new_plus[thr.plus_indices] = True
-    new_data = np.where(new_plus[:, None, None], t_plus, t_minus)
-    return _finish_step(f, new_data, energy, frob, int(np.count_nonzero(singular)),
-                        proj.det, plus, new_plus)
-
-
 def mbo_run(initial: MatrixField, cfg: MboConfig) -> RunResult:
-    """Iterate (volume-)MBO steps until the field stops changing.
+    """Iterate mbo_step until the field stops changing.
 
     Per iteration the log records the pre-step energy, which the step takes
     from its own diffusion (so the energy column is the Lyapunov sequence and
@@ -243,17 +218,15 @@ def mbo_run(initial: MatrixField, cfg: MboConfig) -> RunResult:
     max_frob = 0.0
     max_absdet = 0.0
     singular_total = 0
-    step = volume_mbo_step if cfg.volume_target is not None else mbo_step
     iteration = 0
     for iteration in range(1, cfg.max_iters + 1):
-        new, stats = step(f, cfg, plus=plus)
+        f, stats = mbo_step(f, cfg, plus=plus)
         plus = stats.plus
         log.append(iteration, stats.energy, float(np.sum(weights[plus])),
                    stats.max_change, stats.sign_flips)
         max_frob = max(max_frob, stats.max_frobenius)
         max_absdet = max(max_absdet, stats.max_abs_det)
         singular_total += stats.singular_count
-        f = new
         if cfg.snapshot_every and iteration % cfg.snapshot_every == 0:
             snapshots.append((iteration, f))
         if stats.max_change <= cfg.stop_tol:

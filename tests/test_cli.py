@@ -1,11 +1,14 @@
 """CLI: config parsing, run/tables/check round trips, exit codes."""
 import io
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import struct
+import time
 
 from orthoflow import cli
 from orthoflow.cli import (EXIT_NUMERICAL, cmd_check, cmd_run, cmd_tables, main,
@@ -36,6 +39,25 @@ class TestParseConfig:
     def test_rejects_bad_line(self, tmp_path):
         with pytest.raises(ConfigurationError):
             parse_config(write_config(tmp_path / "c.txt", "no equals sign\n"))
+
+    def test_misspelled_key_exit_one(self, tmp_path, capsys):
+        # a key outside the README schema would otherwise run with defaults
+        cfg = write_config(tmp_path / "c.txt", """
+            scenario.name = torus_star_defect
+            grid.size = 32
+            run.max_iter = 2
+            run.stop_tol = 1e-3
+            ouput.snapshot_every = 0
+        """)
+        assert cmd_run(cfg, out_dir=tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown config key 'ouput.snapshot_every', 'run.max_iter'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_schema_keys_match_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        schema = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+        assert set(re.findall(r"^\| `([a-z_.]+)` \|", schema, re.M)) == cli.CONFIG_KEYS
 
 
 class TestTables:
@@ -257,6 +279,16 @@ class TestCheckReport:
         assert f"interface_cells={len(interface_cells(f))}\n" in out
         assert f"area={stats.area:.6f} perimeter={stats.perimeter_estimate:.6f} " in out
         assert f"winding=({ix},{iy})\n" in out
+
+    def test_large_n_one_point_snapshot_is_fast(self, tmp_path, capsys):
+        n = 400
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+        path = tmp_path / "big.mbof"
+        write_snapshot(MatrixField.cloud_field(np.zeros((1, 3)), np.ones(1), q[None]), path)
+        start = time.perf_counter()
+        assert cmd_check(path) == 0
+        assert time.perf_counter() - start < 10.0
+        assert f"n={n} points=1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("blob", [
         b"MBOF" + struct.pack("<IIBI2Q2d", 1, 2, 0, 2, 2**31, 2**31, 1.0, 1.0) + b"\0" * 64,

@@ -320,6 +320,18 @@ class TestOrthogonalityDefect:
         want = np.sqrt(np.sum(gram**2, axis=(1, 2))).max()
         assert f.orthogonality_defect() == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_batched_gram_for_larger_n(self, n):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((20, n, n)))
+        data = q + 1e-3 * rng.standard_normal(q.shape)
+        f = MatrixField.cloud_field(rng.standard_normal((20, 3)), np.ones(20), data)
+        gram = np.swapaxes(data, -1, -2) @ data - np.eye(n)
+        want = np.sqrt(np.sum(gram**2, axis=(1, 2))).max()
+        assert f.orthogonality_defect() == pytest.approx(want, abs=1e-14)
+        data[7, 2, 3] = np.nan
+        assert np.isnan(f.orthogonality_defect())
+
     def test_nan_field_is_not_orthogonal(self):
         g = torus_grid(8)
         data = np.tile(np.eye(2), (8, 8, 1, 1))

@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthoflow.errors import DegenerateDeterminantError
-from orthoflow.matgeom import (frobenius_inner, nearest_opposite,
-                               nearest_orthogonal, orthogonal_projections,
-                               project_orthogonal_stack, svd, t_minus, t_plus)
+from orthoflow.field import GridSpec, MatrixField
+from orthoflow.matgeom import (determinants, frobenius_inner, nearest_opposite,
+                               nearest_orthogonal, orthogonal_projections, svd,
+                               t_minus, t_plus)
 
 
 def random_orthogonal(rng, n, count, det_sign=None):
@@ -189,7 +190,7 @@ class TestStacked:
     def test_matches_single_matrix_ops(self, n):
         rng = np.random.default_rng(11)
         mats = rng.standard_normal((40, n, n))
-        plus, minus, gain, singular = orthogonal_projections(mats)
+        plus, minus, gain, singular, _ = orthogonal_projections(mats)
         assert not singular.any()
         for i in range(len(mats)):
             np.testing.assert_allclose(plus[i], t_plus(mats[i]), atol=1e-12)
@@ -200,12 +201,15 @@ class TestStacked:
     def test_projection_stack_singular_goes_plus(self):
         mats = np.stack([np.diag([1.0, 0.0]), np.diag([2.0, 0.5]),
                          np.array([[0.0, 1.0], [0.0, 0.0]])])
-        projected, n_sing = project_orthogonal_stack(mats)
-        assert n_sing == 2
-        dets = np.linalg.det(projected)
-        assert dets[0] == pytest.approx(1.0, abs=1e-12)   # singular -> SO
+        plus, _, gain, singular, det = orthogonal_projections(mats)
+        np.testing.assert_array_equal(singular, [True, False, True])
+        np.testing.assert_array_equal(det == 0.0, singular)
+        assert gain[0] == 0.0 and gain[2] == 0.0
+        # the nearest orthogonal matrix is plus where det >= 0: singular -> SO
+        dets = np.linalg.det(plus)
+        assert dets[0] == pytest.approx(1.0, abs=1e-12)
         assert dets[2] == pytest.approx(1.0, abs=1e-12)
-        ortho = projected @ np.swapaxes(projected, -1, -2)
+        ortho = plus @ np.swapaxes(plus, -1, -2)
         np.testing.assert_allclose(ortho, np.broadcast_to(np.eye(2), ortho.shape),
                                    atol=1e-12)
 
@@ -243,9 +247,8 @@ class TestKernelProperties:
     @given(square_matrices())
     def test_against_svd_oracle(self, a):
         n = len(a)
-        plus, minus, gain, singular = res = orthogonal_projections(a[None])
-        projected, n_sing = proj = project_orthogonal_stack(a[None])
-        plus, minus, gain, det = plus[0], minus[0], gain[0], res.det[0]
+        plus, minus, gain, singular, det = (
+            x[0] for x in orthogonal_projections(a[None]))
         want_plus, want_minus, s = svd_oracle(a)
         scale = 1.0 + np.linalg.norm(a)
 
@@ -263,9 +266,9 @@ class TestKernelProperties:
         assert det == pytest.approx(lapack_det, abs=1e-12 * scale**n)
         assert gain == pytest.approx(2 * s[-1] * np.sign(lapack_det), abs=1e-12 * scale)
         # the nearest orthogonal matrix takes the det-sign branch, SO at det 0
-        assert singular[0] == (det == 0.0) and n_sing == int(det == 0.0)
-        np.testing.assert_array_equal(projected[0], plus if det >= 0 else minus)
-        assert proj.plus[0] == (det >= 0)
+        assert singular == (det == 0.0)
+        nearest, _ = nearest_orthogonal(a)
+        np.testing.assert_array_equal(nearest, plus if det >= 0 else minus)
 
         # where the projections are unique and well conditioned, they equal
         # the oracle's
@@ -296,19 +299,18 @@ class TestKernelProperties:
     @staticmethod
     def assert_singular_goes_plus(a):
         n = len(a)
-        plus, minus, gain, singular = res = orthogonal_projections(a[None])
-        projected, n_sing = project_orthogonal_stack(a[None])
-        assert res.det[0] == 0.0 and singular[0] and n_sing == 1
+        plus, minus, gain, singular, det = orthogonal_projections(a[None])
+        nearest, _ = nearest_orthogonal(a)
+        assert det[0] == 0.0 and singular[0]
         assert gain[0] == 0.0
-        np.testing.assert_array_equal(projected[0], plus[0])
-        assert np.linalg.det(projected[0]) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(nearest, plus[0])
+        assert np.linalg.det(nearest) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.det(minus[0]) == pytest.approx(-1.0, abs=1e-12)
-        np.testing.assert_allclose(projected[0].T @ projected[0], np.eye(n),
-                                   atol=1e-12)
+        np.testing.assert_allclose(nearest.T @ nearest, np.eye(n), atol=1e-12)
 
     def test_subnormal_input_stays_orthogonal(self):
         a = np.array([[3e-323, -5e-324], [5e-324, 3e-323]])
-        plus, minus, _, _ = orthogonal_projections(a[None])
+        plus, minus, _, _, _ = orthogonal_projections(a[None])
         for t in (plus[0], minus[0]):
             np.testing.assert_allclose(t @ t.T, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(plus[0], [[6 / 37**0.5, -1 / 37**0.5],
@@ -318,8 +320,22 @@ class TestKernelProperties:
         rng = np.random.default_rng(12)
         for n in (1, 2, 3):
             mats = rng.standard_normal((4, 5, n, n))
-            projected, _ = project_orthogonal_stack(mats)
-            assert projected.shape == mats.shape
+            whole = orthogonal_projections(mats)
+            assert [x.shape for x in whole] == [mats.shape] * 2 + [(4, 5)] * 3
             for idx in np.ndindex(4, 5):
-                one, _ = project_orthogonal_stack(mats[idx])
-                np.testing.assert_array_equal(one, projected[idx])
+                for got, one in zip(whole, orthogonal_projections(mats[idx])):
+                    np.testing.assert_array_equal(one, got[idx])
+
+
+class TestDeterminants:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_lapack(self, n):
+        mats = np.random.default_rng(13).standard_normal((3, 50, n, n))
+        got = determinants(mats)
+        assert got.shape == (3, 50)
+        np.testing.assert_allclose(got, np.linalg.det(mats), rtol=1e-12, atol=1e-12)
+
+    def test_field_dets_use_it(self):
+        data = np.random.default_rng(14).standard_normal((8, 8, 3, 3))
+        f = MatrixField.grid_field(GridSpec((8, 8)), data)
+        np.testing.assert_array_equal(f.dets(), determinants(data))

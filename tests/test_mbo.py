@@ -4,10 +4,9 @@ import pytest
 
 from orthoflow.errors import NumericalHealthError
 from orthoflow.field import GridSpec, MatrixField, plus_volume
-from orthoflow.matgeom import (ProjectionResult, project_orthogonal_stack, t_minus,
-                               t_plus)
+from orthoflow.matgeom import orthogonal_projections, t_minus, t_plus
 from orthoflow.mbo import (MboConfig, delta_e, lyapunov_energy, mbo_run,
-                           mbo_step, select_threshold, volume_mbo_step)
+                           mbo_step, select_threshold)
 from orthoflow.scenarios import ScenarioSpec, build_initial, reflection_branch, rotation_branch
 from orthoflow.torus_heat import TorusDiffuser
 
@@ -19,6 +18,28 @@ def constant_rotation_field(grid, angle=0.3):
 
 def torus_cfg(grid, tau, **kw):
     return MboConfig(backend=TorusDiffuser(grid, tau), **kw)
+
+
+def smooth_random(rng, x, y, modes=3):
+    """Random sum of low periodic modes on the unit torus; never constant."""
+    out = np.zeros_like(x)
+    for _ in range(modes):
+        kx, ky = rng.integers(1, 4), rng.integers(-3, 4)
+        out += rng.standard_normal() * np.cos(
+            2 * np.pi * (kx * x + ky * y) + rng.uniform(0, 2 * np.pi))
+    return out
+
+
+class FixedDiffuser:
+    """Diffuser whose result is a fixed stack, so a step projects chosen matrices."""
+
+    tau = 1.0
+
+    def __init__(self, mats):
+        self.mats = mats
+
+    def diffuse(self, f):
+        return f.copy_with(self.mats)
 
 
 class TestLyapunovEnergy:
@@ -93,6 +114,18 @@ class TestMboStep:
         drop = a0 - plus_volume(new)
         assert drop == pytest.approx(2 * np.pi * tau, rel=0.20)
 
+    def test_singular_diffused_matrices_go_to_so(self):
+        mats = np.stack([np.diag([1.0, 0.0]), np.diag([2.0, 0.5]),
+                         np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([-1.0, 0.5])])
+        k = len(mats)
+        f = MatrixField.cloud_field(np.zeros((k, 3)), np.ones(k),
+                                    np.tile(np.eye(2), (k, 1, 1)))
+        new, stats = mbo_step(f, MboConfig(backend=FixedDiffuser(mats)))
+        assert stats.singular_count == 2
+        np.testing.assert_array_equal(stats.plus, [True, True, True, False])
+        np.testing.assert_allclose(np.linalg.det(new.data), [1.0, 1.0, 1.0, -1.0],
+                                   atol=1e-12)
+
 
 class TestDeltaE:
     def test_identity(self):
@@ -164,7 +197,7 @@ class TestVolumeStep:
         f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
         target = plus_volume(f)
         cfg = torus_cfg(g, 2 * g.dx, volume_target=target)
-        new, _ = volume_mbo_step(f, cfg)
+        new, _ = mbo_step(f, cfg)
         assert abs(plus_volume(new) - target) <= g.cell_weight
 
     def test_six_point_enumeration_optimality(self):
@@ -195,6 +228,27 @@ class TestVolumeStep:
                 continue       # does not meet the quota minimally
             best = max(best, score(mask))
         assert score(chosen) >= best - 1e-12
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_random_two_branch_fields(self, seed):
+        # the volume path on seeded fields: no raise, the quota held to one
+        # cell at every step, and the energy non-increasing
+        g = GridSpec((48, 48))
+        x, y = g.meshgrid()
+        rng = np.random.default_rng(seed)
+        alpha = smooth_random(rng, x, y)
+        phi = smooth_random(rng, x, y)
+        inside = phi > np.quantile(phi, rng.uniform(0.2, 0.8))
+        f = MatrixField.grid_field(g, np.where(inside[..., None, None],
+                                               rotation_branch(alpha),
+                                               reflection_branch(alpha)))
+        target = plus_volume(f)
+        cfg = torus_cfg(g, 2 * g.dx, max_iters=80, volume_target=target)
+        res = mbo_run(f, cfg)
+        pv = np.array([r.plus_volume for r in res.log.rows])
+        assert np.abs(pv - target).max() <= g.cell_weight
+        slack = 1e-9 * f.n * f.total_measure / cfg.tau
+        assert np.all(np.diff(res.log.energies()) <= slack)
 
     def test_volume_run_monotone_and_constrained(self):
         g = GridSpec((128, 128))
@@ -338,13 +392,13 @@ class TestSinglePassStep:
             assert row.sign_flips == flips
             prev = snap
 
-    @pytest.mark.parametrize("step", [mbo_step, volume_mbo_step])
-    def test_carried_mask_equals_fresh_check(self, step):
+    @pytest.mark.parametrize("volume", [False, True])
+    def test_carried_mask_equals_fresh_check(self, volume):
         g = GridSpec((64, 64))
         f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
-        cfg = torus_cfg(g, 2 * g.dx, volume_target=plus_volume(f))
-        new_a, stats_a = step(f, cfg)
-        new_b, stats_b = step(f, cfg, plus=f.dets().reshape(-1) > 0)
+        cfg = torus_cfg(g, 2 * g.dx, volume_target=plus_volume(f) if volume else None)
+        new_a, stats_a = mbo_step(f, cfg)
+        new_b, stats_b = mbo_step(f, cfg, plus=f.dets().reshape(-1) > 0)
         np.testing.assert_array_equal(new_a.data, new_b.data)
         assert stats_a == stats_b
         np.testing.assert_array_equal(stats_a.plus, new_a.dets().reshape(-1) > 0)
@@ -368,12 +422,11 @@ class TestSinglePassStep:
     def test_non_orthogonal_projection_output_is_a_health_error(self, monkeypatch):
         import orthoflow.mbo as mbo_module
 
-        def broken_projection(mats):
-            projected, count = project_orthogonal_stack(mats)
-            return ProjectionResult((2.0 * projected, count), np.ones(len(mats), bool),
-                                    np.ones(len(mats)))
+        def broken_projections(mats):
+            plus, minus, gain, singular, det = orthogonal_projections(mats)
+            return 2.0 * plus, 2.0 * minus, gain, singular, det
 
-        monkeypatch.setattr(mbo_module, "project_orthogonal_stack", broken_projection)
+        monkeypatch.setattr(mbo_module, "orthogonal_projections", broken_projections)
         g = GridSpec((32, 32))
         with pytest.raises(NumericalHealthError, match="projection output"):
             mbo_run(constant_rotation_field(g), torus_cfg(g, 0.01))
@@ -416,12 +469,13 @@ class TestDiffuserContract:
         for field_in, row in zip(entering, res.log.rows):
             assert row.energy == lyapunov_energy(field_in, inner)
 
-    @pytest.mark.parametrize("step", [mbo_step, volume_mbo_step])
-    def test_step_reports_pre_step_energy(self, step):
+    @pytest.mark.parametrize("volume", [False, True])
+    def test_step_reports_pre_step_energy(self, volume):
         g = GridSpec((64, 64))
         f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
         counting = CountingDiffuser(TorusDiffuser(g, 2 * g.dx))
-        _, stats = step(f, MboConfig(backend=counting, volume_target=plus_volume(f)))
+        target = plus_volume(f) if volume else None
+        _, stats = mbo_step(f, MboConfig(backend=counting, volume_target=target))
         assert counting.calls == 1
         assert stats.energy == lyapunov_energy(f, counting.backend)
 
