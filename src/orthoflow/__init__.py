@@ -8,19 +8,16 @@ and a built-in Lyapunov-energy monitor.
 
 from .cpm_surface import (BandSet, BandSpec, CallableSurface, Sphere, Surface,
                           SurfaceDiffuser, SurfaceOfRevolution, band_width,
-                          build_band, closest_point, peanut_surface,
-                          spectral_grid, tail_T)
-from .errors import (ConfigurationError, DegenerateDeterminantError,
-                     SnapshotFormatError, UnderResolvedError)
+                          build_band, peanut_surface, spectral_grid, tail_T)
+from .errors import ConfigurationError, SnapshotFormatError, UnderResolvedError
 from .field import (EnergyLog, GridSpec, MatrixField, interface_cells,
                     plus_region_stats, plus_volume, read_snapshot,
                     winding_pair, write_snapshot)
-from .matgeom import (SvdResult, frobenius_inner, nearest_opposite,
-                      nearest_orthogonal, svd, t_minus, t_plus)
-from .mbo import (Diffuser, MboConfig, RunResult, delta_e, lyapunov_energy,
-                  mbo_run, mbo_step, select_threshold)
+from .matgeom import determinants, orthogonal_projections
+from .mbo import (Diffuser, MboConfig, RunResult, lyapunov_energy, mbo_run,
+                  mbo_step, select_threshold)
 from .nufft import ModeGrid, direct_type1, direct_type2, nufft_type1, nufft_type2
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, build_initial, builtin_surface
-from .torus_heat import TorusDiffuser, diffuse_torus, heat_multiplier
+from .torus_heat import TorusDiffuser, heat_multiplier
 
 __version__ = "0.1.0"

@@ -7,14 +7,16 @@ Subcommands:
     orthoflow check SNAPSHOT
 
 Configs are flat key = value text (# comments); see the README for the
-schema.  Exit codes:
+schema.  run prints a one-line summary whose final_energy is the Lyapunov
+energy of the final field: it costs one more diffusion after the loop.
+Exit codes:
 
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
-            key outside the schema, a non-finite tau, stop_tol, surface.dx
-            or surface.w_b and a volume target outside (0, total measure))
-            or an output file that cannot be written, 4 numerical failure
-            during the run (DegenerateDeterminantError or
-            NumericalHealthError); errors print one line on stderr
+            key outside the schema, a repeated key, a non-finite tau,
+            stop_tol, surface.dx or surface.w_b and a volume target outside
+            (0, total measure)) or an output file that cannot be written,
+            4 numerical failure during the run (NumericalHealthError);
+            errors print one line on stderr
     tables  0 all entries match, 3 mismatches
     check   0 valid, 1 malformed or non-orthogonal snapshot
 """
@@ -28,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .cpm_surface import BandSpec, SurfaceDiffuser, band_width, build_band, spectral_grid
-from .errors import (ConfigurationError, DegenerateDeterminantError,
-                     NumericalHealthError, SnapshotFormatError, UnderResolvedError)
+from .errors import (ConfigurationError, NumericalHealthError, SnapshotFormatError,
+                     UnderResolvedError)
 from .field import (GridSpec, _interface_cells, _plus_region_stats, _plus_volume,
                     _winding_pair, plus_volume, read_snapshot, write_snapshot)
 from .mbo import MboConfig, lyapunov_energy, mbo_run
@@ -71,8 +73,12 @@ CONFIG_KEYS = frozenset(
 # ---------------------------------------------------------------------------
 
 def parse_config(path) -> dict:
-    """Flat key = value file with # comments and dotted section keys."""
+    """Flat key = value file with # comments and dotted section keys.
+
+    A key may appear once; a repeat is an error naming both lines.
+    """
     out = {}
+    first_line = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -83,7 +89,11 @@ def parse_config(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
                 raise ConfigurationError(f"{path}:{lineno}: empty key or value")
+            if key in out:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
             out[key] = value
+            first_line[key] = lineno
     return out
 
 
@@ -165,7 +175,7 @@ def cmd_run(config_path, out_dir=None, snapshot_every=None) -> int:
 
     try:
         result = mbo_run(initial, mbo_cfg)
-    except (DegenerateDeterminantError, NumericalHealthError) as exc:
+    except NumericalHealthError as exc:
         print(f"error: numerical failure during the run: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     try:

@@ -45,7 +45,6 @@ __all__ = [
     "SurfaceOfRevolution",
     "CallableSurface",
     "peanut_surface",
-    "closest_point",
     "BandSpec",
     "BandSet",
     "build_band",
@@ -289,14 +288,6 @@ def peanut_surface() -> SurfaceOfRevolution:
         return 0.5 * np.sqrt((1.0 + x * x) * (3.0 + u)) * np.abs(u)
 
     return SurfaceOfRevolution(axial, radial, t_range=(-1.0, 1.0))
-
-
-def closest_point(surface: Surface, x) -> np.ndarray:
-    """Closest point on the surface to a single 3D point."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point must be finite")
-    return surface.closest(x.reshape(1, 3))[0]
 
 
 # ---------------------------------------------------------------------------

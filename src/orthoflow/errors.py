@@ -1,10 +1,6 @@
 """Exception types shared across the solver modules."""
 
 
-class DegenerateDeterminantError(ValueError):
-    """A projection that needs a determinant sign got a singular matrix."""
-
-
 class UnderResolvedError(ValueError):
     """A winding measurement hit an angle step >= pi/2 between samples."""
 

@@ -1,8 +1,8 @@
 """Small dense-matrix geometry: SVD and projections onto O(n), SO(n), SO-(n).
 
-Matrices are numpy arrays whose trailing two axes are (n, n).  Every
-projection goes through one stacked kernel that returns, per matrix A, the
-nearest elements T+ of SO(n) and T- of SO-(n), the gain
+Matrices are numpy arrays whose trailing two axes are (n, n).
+orthogonal_projections returns, for every matrix A of a stack, the nearest
+elements T+ of SO(n) and T- of SO-(n), the gain
 <T+ - T-, A>_F = 2 sigma_min sign(det A), and det A:
 
     n = 1   T+ = 1, T- = -1, det A = a.
@@ -18,59 +18,21 @@ nearest elements T+ of SO(n) and T- of SO-(n), the gain
 
 The nearest element of O(n) is T+ where det A >= 0 and T- otherwise, so a
 matrix with det exactly 0 goes to SO(n); its gain is 0.  The squared
-distances are ||T - A||_F^2, which equals
+Frobenius distances ||T - A||_F^2 are
 
-    nearest orthogonal     sum_i (sigma_i - 1)^2
-    nearest opposite       sum_i (sigma_i - 1)^2 + 4 sigma_min
+    to the nearest element of O(n)             sum_i (sigma_i - 1)^2
+    to the nearest element of the component    sum_i (sigma_i - 1)^2 + 4 sigma_min
+    whose determinant sign is -sign(det A)
 
-where "opposite" means the component of O(n) whose determinant sign is
--sign(det A).  Determinants, shared by the kernel and the field diagnostics,
-are closed-form for n <= 3 and LAPACK's for n >= 4.
+Determinants, shared by the projections and the field diagnostics, are
+closed-form for n <= 3 and LAPACK's for n >= 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateDeterminantError
-
-__all__ = [
-    "SvdResult",
-    "svd",
-    "determinants",
-    "frobenius_inner",
-    "nearest_orthogonal",
-    "nearest_opposite",
-    "t_plus",
-    "t_minus",
-    "orthogonal_projections",
-]
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """SVD factors with sigma sorted non-increasing and non-negative.
-
-    Reconstruction is u @ diag(sigma) @ v.T (note: v, not v^t, is stored).
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
-
-def _check_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
+__all__ = ["determinants", "orthogonal_projections"]
 
 
 def determinants(m: np.ndarray) -> np.ndarray:
@@ -111,113 +73,43 @@ def _matrix2(m00, m01, m10, m11) -> np.ndarray:
     return out
 
 
-def _kernel(mats: np.ndarray):
-    """(T+, T-, gain, det) for a stack (..., n, n), as in the module docstring."""
+def orthogonal_projections(mats: np.ndarray):
+    """Per-matrix SO/SO- projections for a stack of shape (..., n, n).
+
+    Returns (plus, minus, gain, singular, det) where
+
+        plus[i]    nearest matrix in SO(n)
+        minus[i]   nearest matrix in SO-(n)
+        gain[i]    <plus - minus, mats>_F  ( = 2 sigma_min sign(det) )
+        singular   boolean mask of exactly-zero determinants
+        det[i]     det mats[i]
+
+    computed as in the module docstring.  Singular entries follow the
+    plus-branch convention: gain is 0 there and both projections are still
+    valid elements of their components.
+    """
+    mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
     det = determinants(mats)
+    singular = det == 0.0
     if n == 1:
         ones = np.ones_like(mats)
-        return ones, -ones, 2.0 * mats[..., 0, 0], det
+        return ones, -ones, 2.0 * mats[..., 0, 0], singular, det
     if n == 2:
         a, b = mats[..., 0, 0], mats[..., 0, 1]
         c, d = mats[..., 1, 0], mats[..., 1, 1]
         px, py = a + d, c - b
         mx, my = a - d, b + c
         rp, rm = np.hypot(px, py), np.hypot(mx, my)
-        gain = np.where(det == 0.0, 0.0, rp - rm)
+        gain = np.where(singular, 0.0, rp - rm)
         px, py = _unit(px, py, rp)
         mx, my = _unit(mx, my, rm)
-        return _matrix2(px, -py, py, px), _matrix2(mx, my, my, -mx), gain, det
+        return (_matrix2(px, -py, py, px), _matrix2(mx, my, my, -mx), gain,
+                singular, det)
     u, s, vh = np.linalg.svd(mats)
     uv = u @ vh
     u[..., :, -1] = -u[..., :, -1]
     uvd = u @ vh
     so = (determinants(uv) > 0)[..., None, None]
     gain = 2.0 * s[..., -1] * np.sign(det)
-    return np.where(so, uv, uvd), np.where(so, uvd, uv), gain, det
-
-
-def svd(a) -> SvdResult:
-    """Deterministic SVD of a small square matrix.
-
-    Backed by LAPACK via numpy (the kernel's n >= 3 path); output is
-    identical for identical input.
-    """
-    a = _check_square(a)
-    u, s, vh = np.linalg.svd(a)
-    return SvdResult(u=u, sigma=s, v=vh.T)
-
-
-def frobenius_inner(a, b) -> float:
-    """Frobenius inner product <A, B> = sum_ij A_ij B_ij."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def _nonsingular_kernel(a, who: str):
-    a = _check_square(a)
-    plus, minus, _, det = _kernel(a)
-    if det == 0.0:
-        raise DegenerateDeterminantError(f"{who} needs det(a) != 0")
-    return a, plus, minus, det
-
-
-def nearest_orthogonal(a) -> tuple[np.ndarray, float]:
-    """Nearest matrix in O(n) and the squared Frobenius distance to it.
-
-    For nonsingular input the result has the same determinant sign as the
-    input; det exactly 0 maps to SO(n).  With repeated singular values any
-    minimizer is acceptable and the kernel picks one deterministically.
-    """
-    a = _check_square(a)
-    plus, minus, _, det = _kernel(a)
-    q = plus if det >= 0 else minus
-    return q, float(np.sum((q - a) ** 2))
-
-
-def nearest_opposite(a) -> tuple[np.ndarray, float]:
-    """Nearest matrix in the O(n) component opposite to sign(det a).
-
-    Returns (C*, dist^2) with dist^2 = sum (sigma_i - 1)^2 + 4 sigma_min.
-    Requires det(a) != 0.
-    """
-    a, plus, minus, det = _nonsingular_kernel(a, "nearest_opposite")
-    c = minus if det > 0 else plus
-    return c, float(np.sum((c - a) ** 2))
-
-
-def t_plus(a) -> np.ndarray:
-    """Nearest matrix in SO(n); requires det(a) != 0."""
-    _, plus, _, _ = _nonsingular_kernel(a, "t_plus")
-    return plus
-
-
-def t_minus(a) -> np.ndarray:
-    """Nearest matrix in SO-(n); requires det(a) != 0."""
-    _, _, minus, _ = _nonsingular_kernel(a, "t_minus")
-    return minus
-
-
-# ---------------------------------------------------------------------------
-# The stacked projection for pointwise field projections.
-# ---------------------------------------------------------------------------
-
-def orthogonal_projections(mats: np.ndarray):
-    """Per-matrix SO/SO- projections for a stack of shape (..., n, n).
-
-    Returns (plus, minus, delta_e, singular, det) where
-
-        plus[i]    nearest matrix in SO(n)
-        minus[i]   nearest matrix in SO-(n)
-        delta_e[i] <plus - minus, mats>_F  ( = 2 sigma_min sign(det) )
-        singular   boolean mask of exactly-zero determinants
-        det[i]     det mats[i]
-
-    Singular entries follow the plus-branch convention: delta_e is 0 there and
-    both projections are still valid elements of their components.
-    """
-    plus, minus, gain, det = _kernel(np.asarray(mats, dtype=float))
-    return plus, minus, gain, det == 0.0, det
+    return np.where(so, uv, uvd), np.where(so, uvd, uv), gain, singular, det

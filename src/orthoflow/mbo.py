@@ -2,9 +2,9 @@
 
 One step, mbo_step, diffuses the field for time tau and sends every point to
 T+ or T-, the nearest elements of SO(n) and SO-(n) to the diffused A~(x):
-T+ where det A~ >= 0 (plain variant), or where the gain
+T+ where det A~ >= 0 (plain variant), or where the reassignment gain
 
-    delta_e(x) = < T+(A~(x)) - T-(A~(x)), A~(x) >_F = 2 sigma_min sign(det A~)
+    g(x) = < T+(A~(x)) - T-(A~(x)), A~(x) >_F = 2 sigma_min sign(det A~)
 
 clears a threshold that gives the plus region a prescribed measure V
 (volume-preserving variant).  The iteration monitor is the interpolated
@@ -38,7 +38,6 @@ __all__ = [
     "lyapunov_energy",
     "mbo_step",
     "select_threshold",
-    "delta_e",
     "mbo_run",
 ]
 
@@ -150,14 +149,14 @@ def mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
     if not np.isfinite(frob):
         raise NumericalHealthError("non-finite diffusion result")
     energy = _energy(f, diffused, cfg.tau)
-    t_plus, t_minus, gain, singular, det = orthogonal_projections(diffused.flat())
+    proj_plus, proj_minus, gain, singular, det = orthogonal_projections(diffused.flat())
     if cfg.volume_target is None:
         new_plus = det >= 0.0
     else:
         thr = select_threshold(gain, f.weights, cfg.volume_target)
         new_plus = np.zeros(f.npoints, dtype=bool)
         new_plus[thr.plus_indices] = True
-    new_data = np.where(new_plus[:, None, None], t_plus, t_minus)
+    new_data = np.where(new_plus[:, None, None], proj_plus, proj_minus)
     new = f.copy_with(new_data.reshape(f.data.shape))
     try:
         new.require_orthogonal()
@@ -167,12 +166,6 @@ def mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
     return new, StepStats(energy, _max_frobenius(new.data - f.data), flips,
                           int(np.count_nonzero(singular)), frob,
                           float(np.abs(det).max()), new_plus)
-
-
-def delta_e(diffused: MatrixField) -> np.ndarray:
-    """Pointwise reassignment gain <T+ - T-, A~>_F, flattened to (npoints,)."""
-    _, _, gain, _, _ = orthogonal_projections(diffused.flat())
-    return gain
 
 
 def select_threshold(values, weights, target: float) -> ThresholdResult:

@@ -60,15 +60,12 @@ class ModeGrid:
 
     h: float
     m_half: int
-    d: int = 3
 
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("mode spacing h must be positive")
         if self.m_half < 1:
             raise ValueError("m_half must be >= 1")
-        if self.d != 3:
-            raise ValueError("only d=3 is supported")
 
     @property
     def n_modes(self) -> int:

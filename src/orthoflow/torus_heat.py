@@ -21,7 +21,7 @@ import scipy.fft
 
 from .field import GridSpec, MatrixField
 
-__all__ = ["heat_multiplier", "TorusDiffuser", "diffuse_torus"]
+__all__ = ["heat_multiplier", "TorusDiffuser"]
 
 
 def heat_multiplier(k, tau: float, extent):
@@ -65,10 +65,3 @@ class TorusDiffuser:
         spec = scipy.fft.rfftn(f.data, axes=axes)
         spec *= self.multipliers[..., None, None]
         return f.copy_with(scipy.fft.irfftn(spec, s=self.grid.sizes, axes=axes))
-
-
-def diffuse_torus(f: MatrixField, tau: float) -> MatrixField:
-    """One heat step of length tau on a grid-backed field."""
-    if not f.is_grid:
-        raise ValueError("diffuse_torus needs a grid-backed field")
-    return TorusDiffuser(f.grid, tau).diffuse(f)

@@ -16,8 +16,7 @@ from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser,
                                    band_width, build_band, spectral_grid)
 from orthoflow.field import (GridSpec, MatrixField, plus_region_stats,
                              plus_volume, winding_pair)
-from orthoflow.matgeom import (nearest_opposite, nearest_orthogonal, t_minus,
-                               t_plus)
+from orthoflow.matgeom import orthogonal_projections
 from orthoflow.mbo import MboConfig, mbo_run, mbo_step, select_threshold
 from orthoflow.nufft import ModeGrid, direct_type1, direct_type2, nufft_type1, nufft_type2
 from orthoflow.scenarios import ScenarioSpec, build_initial, rotation_branch
@@ -133,28 +132,31 @@ def test_c03_projection_oracles():
             so_minus = _orthogonal_samples_3x3(rng, n_samples // 2, -1.0)
             all_orth = np.concatenate([so_plus, so_minus])
 
-        # nearest_orthogonal beats sampling over all of O(n)
+        # the det-sign branch (T+ where det >= 0, else T-) beats sampling
+        # over all of O(n); the other branch beats sampling over the
+        # opposite component
+        plus, minus, _, _, det = orthogonal_projections(mats)
+        so = (det >= 0)[:, None, None]
+        nearest, opposite = np.where(so, plus, minus), np.where(so, minus, plus)
+        s = np.linalg.svd(mats, compute_uv=False)
+        closed = np.sum((s - 1) ** 2, axis=1)
+
         best_inner = _max_inner(flat, all_orth.reshape(len(all_orth), -1))
         sample_best = norms_sq + n - 2 * best_inner
-        for i, a in enumerate(mats):
-            q, dist_sq = nearest_orthogonal(a)
-            s = np.linalg.svd(a, compute_uv=False)
-            assert abs(dist_sq - np.sum((s - 1) ** 2)) <= 1e-10
-            assert np.sum((q - a) ** 2) <= sample_best[i] + 1e-9
+        dist_sq = np.sum((nearest - mats) ** 2, axis=(1, 2))
+        assert np.abs(dist_sq - closed).max() <= 1e-10
+        assert np.all(dist_sq <= sample_best + 1e-9)
 
-        # nearest_opposite beats sampling over the opposite component
         det_sign = np.sign(np.linalg.det(mats))
+        opp_sq = np.sum((opposite - mats) ** 2, axis=(1, 2))
+        assert np.abs(opp_sq - (closed + 4 * s[:, -1])).max() <= 1e-10
         for sign, samples in ((1.0, so_minus), (-1.0, so_plus)):
             sel = det_sign == sign
             sub = mats[sel]
             inner = _max_inner(sub.reshape(len(sub), -1),
                                samples.reshape(len(samples), -1))
             best = np.sum(sub.reshape(len(sub), -1) ** 2, axis=1) + n - 2 * inner
-            for i, a in enumerate(sub):
-                c, dist_sq = nearest_opposite(a)
-                s = np.linalg.svd(a, compute_uv=False)
-                assert abs(dist_sq - (np.sum((s - 1) ** 2) + 4 * s[-1])) <= 1e-10
-                assert np.sum((c - a) ** 2) <= best[i] + 1e-9
+            assert np.all(opp_sq[sel] <= best + 1e-9)
 
     # component gap: 10^6 random pairs stay >= 2 - 1e-3; the canonical pair
     # attains 2 exactly
@@ -349,9 +351,7 @@ def test_c11_volume_constraint(shipped_runs):
     mats = rng.standard_normal((6, 2, 2))
     weights = np.ones(6)
     target6 = 3.0
-    plus = np.stack([t_plus(m) for m in mats])
-    minus = np.stack([t_minus(m) for m in mats])
-    gains = np.einsum("ijk,ijk->i", plus - minus, mats)
+    plus, minus, gains, _, _ = orthogonal_projections(mats)
     thr = select_threshold(gains, weights, target6)
     chosen = np.zeros(6, dtype=bool)
     chosen[thr.plus_indices] = True

@@ -13,8 +13,7 @@ import time
 from orthoflow import cli
 from orthoflow.cli import (EXIT_NUMERICAL, cmd_check, cmd_run, cmd_tables, main,
                            parse_config)
-from orthoflow.errors import (ConfigurationError, DegenerateDeterminantError,
-                              NumericalHealthError)
+from orthoflow.errors import ConfigurationError, NumericalHealthError
 from orthoflow.field import (GridSpec, MatrixField, interface_cells, plus_region_stats,
                              plus_volume, read_snapshot, winding_pair, write_snapshot)
 from orthoflow.scenarios import ScenarioSpec, build_initial
@@ -23,6 +22,13 @@ from orthoflow.scenarios import ScenarioSpec, build_initial
 def write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+def with_line(base, line):
+    """base config text with line in place of any line setting the same key."""
+    key = line.split("=", 1)[0].strip()
+    kept = [k for k in base.splitlines() if k.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
 
 
 class TestParseConfig:
@@ -52,6 +58,16 @@ class TestParseConfig:
         assert cmd_run(cfg, out_dir=tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert err == "error: unknown config key 'ouput.snapshot_every', 'run.max_iter'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_key_exit_one(self, tmp_path, capsys):
+        # the second value would otherwise override the first without a word
+        cfg = write_config(tmp_path / "c.txt", "scenario.name = torus_star_defect\n"
+                           "grid.size = 32\nrun.max_iters = 3\nrun.stop_tol = 0\n"
+                           "run.max_iters = 5\n")
+        assert cmd_run(cfg, out_dir=tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:5: key 'run.max_iters' repeats line 3\n"
         assert not (tmp_path / "o").exists()
 
     def test_schema_keys_match_readme(self):
@@ -210,7 +226,7 @@ class TestFailureExitCodes:
         assert code == 1
         assert err.startswith("error: run.volume_target") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("error", [DegenerateDeterminantError, NumericalHealthError])
+    @pytest.mark.parametrize("error", [NumericalHealthError])
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
         def failing_run(initial, cfg):
             raise error("synthetic failure")
@@ -334,7 +350,7 @@ class TestNonFiniteRunParameters:
             "sphere_tau_inf", "stop_tol_nan", "stop_tol_inf", "snapshot_every_negative",
             "disk_radius_nan", "disk_radius_negative", "disk_radius_zero"])
     def test_exit_one_with_one_error_line(self, tmp_path, capsys, base, line):
-        cfg = write_config(tmp_path / "cfg.txt", base + "\n" + line + "\n")
+        cfg = write_config(tmp_path / "cfg.txt", with_line(base, line))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = cmd_run(cfg, out_dir=tmp_path / "o")
@@ -357,7 +373,7 @@ class TestNonFiniteRunParameters:
     ])
     def test_non_finite_band_parameter_named(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "cfg.txt",
-                           self.SPHERE + f"\nsurface.{key} = {value}\n")
+                           with_line(self.SPHERE, f"surface.{key} = {value}"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = cmd_run(cfg, out_dir=tmp_path / "o")

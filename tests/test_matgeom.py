@@ -1,18 +1,15 @@
-"""Projection geometry: SVD contracts and the O(n)/SO(n)/SO-(n) projections.
+"""Projection geometry: the stacked O(n)/SO(n)/SO-(n) projections.
 
-Ground truths: reconstruction identities, closed-form distances, and
-brute-force sampling over the orthogonal group.
+Ground truths: LAPACK's SVD, closed-form distances, and brute-force sampling
+over the orthogonal group.
 """
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orthoflow.errors import DegenerateDeterminantError
 from orthoflow.field import GridSpec, MatrixField
-from orthoflow.matgeom import (determinants, frobenius_inner, nearest_opposite,
-                               nearest_orthogonal, orthogonal_projections, svd,
-                               t_minus, t_plus)
+from orthoflow.matgeom import determinants, orthogonal_projections
 
 
 def random_orthogonal(rng, n, count, det_sign=None):
@@ -27,49 +24,27 @@ def random_orthogonal(rng, n, count, det_sign=None):
     return q
 
 
-class TestSvd:
-    def test_identity(self):
-        res = svd(np.eye(2))
-        np.testing.assert_allclose(res.sigma, [1.0, 1.0])
-        np.testing.assert_allclose(res.u @ res.v.T, np.eye(2), atol=1e-14)
+def nearest(a):
+    """(nearest in O(n), nearest in the opposite component) of one matrix.
 
-    def test_diagonal(self):
-        res = svd(np.diag([2.0, 0.5]))
-        np.testing.assert_allclose(res.sigma, [2.0, 0.5])
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            a = rng.standard_normal((3, 3))
-            res = svd(a)
-            rel = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
-            assert rel <= 1e-10
-            # factor orthogonality and ordering
-            assert np.linalg.norm(res.u.T @ res.u - np.eye(3)) <= 1e-12
-            assert np.linalg.norm(res.v.T @ res.v - np.eye(3)) <= 1e-12
-            assert np.all(np.diff(res.sigma) <= 0) and np.all(res.sigma >= 0)
-
-    def test_deterministic(self):
-        a = np.random.default_rng(2).standard_normal((3, 3))
-        r1, r2 = svd(a), svd(a)
-        np.testing.assert_array_equal(r1.u, r2.u)
-        np.testing.assert_array_equal(r1.sigma, r2.sigma)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    The nearest element of O(n) takes the det-sign branch (SO at det 0); the
+    opposite one takes the other branch.
+    """
+    plus, minus, _, _, det = (x[0] for x in orthogonal_projections(a[None]))
+    return (plus, minus) if det >= 0 else (minus, plus)
 
 
 class TestNearestOrthogonal:
     def test_identity(self):
-        q, d = nearest_orthogonal(np.eye(3))
+        q, _ = nearest(np.eye(3))
         np.testing.assert_allclose(q, np.eye(3), atol=1e-14)
-        assert d == pytest.approx(0.0, abs=1e-14)
+        assert np.sum((q - np.eye(3)) ** 2) == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal(self):
-        q, d = nearest_orthogonal(np.diag([2.0, 0.5]))
+        a = np.diag([2.0, 0.5])
+        q, _ = nearest(a)
         np.testing.assert_allclose(q, np.eye(2), atol=1e-12)
-        assert d == pytest.approx(1.25, abs=1e-12)
+        assert np.sum((q - a) ** 2) == pytest.approx(1.25, abs=1e-12)
 
     def test_det_sign_preserved(self):
         rng = np.random.default_rng(3)
@@ -77,7 +52,7 @@ class TestNearestOrthogonal:
             a = rng.standard_normal((3, 3))
             if abs(np.linalg.det(a)) < 1e-6:
                 continue
-            q, _ = nearest_orthogonal(a)
+            q, _ = nearest(a)
             assert np.sign(np.linalg.det(q)) == np.sign(np.linalg.det(a))
 
     def test_beats_sampling(self):
@@ -88,27 +63,25 @@ class TestNearestOrthogonal:
             samples[:half, :, -1] = -samples[:half, :, -1]  # mix in SO-
             for _ in range(50):
                 a = rng.standard_normal((n, n))
-                q, dist_sq = nearest_orthogonal(a)
+                q, _ = nearest(a)
+                dist_sq = np.sum((q - a) ** 2)
                 assert dist_sq == pytest.approx(
                     np.sum((np.linalg.svd(a)[1] - 1.0) ** 2), abs=1e-10)
                 best = np.min(np.sum((samples - a) ** 2, axis=(1, 2)))
-                assert np.sum((q - a) ** 2) <= best + 1e-9
+                assert dist_sq <= best + 1e-9
 
 
 class TestNearestOpposite:
     def test_diagonal(self):
-        c, d = nearest_opposite(np.diag([2.0, 0.5]))
+        a = np.diag([2.0, 0.5])
+        _, c = nearest(a)
         np.testing.assert_allclose(c, np.diag([1.0, -1.0]), atol=1e-12)
-        assert d == pytest.approx(3.25, abs=1e-12)
+        assert np.sum((c - a) ** 2) == pytest.approx(3.25, abs=1e-12)
 
     def test_identity_component_gap(self):
         # dist(SO, SO-) = 2, attained against the identity
-        _, d = nearest_opposite(np.eye(2))
-        assert d == pytest.approx(4.0, abs=1e-12)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateDeterminantError):
-            nearest_opposite(np.diag([1.0, 0.0]))
+        _, c = nearest(np.eye(2))
+        assert np.sum((c - np.eye(2)) ** 2) == pytest.approx(4.0, abs=1e-12)
 
     def test_beats_sampling_opposite_component(self):
         rng = np.random.default_rng(5)
@@ -117,11 +90,12 @@ class TestNearestOpposite:
             det = np.linalg.det(a)
             if abs(det) < 1e-6:
                 continue
-            c, dist_sq = nearest_opposite(a)
+            _, c = nearest(a)
+            dist_sq = np.sum((c - a) ** 2)
             assert np.sign(np.linalg.det(c)) == -np.sign(det)
             samples = random_orthogonal(rng, 3, 20_000, det_sign=-np.sign(det))
             best = np.min(np.sum((samples - a) ** 2, axis=(1, 2)))
-            assert np.sum((c - a) ** 2) <= best + 1e-9
+            assert dist_sq <= best + 1e-9
             s = np.linalg.svd(a)[1]
             assert dist_sq == pytest.approx(np.sum((s - 1) ** 2) + 4 * s[-1],
                                             abs=1e-10)
@@ -129,12 +103,17 @@ class TestNearestOpposite:
 
 class TestTplusTminus:
     def test_definition_positive_det(self):
+        # for det > 0, T+ is the nearest element of O(n) and T- the nearest
+        # of the opposite component: their distances are the closed forms
         rng = np.random.default_rng(6)
         a = rng.standard_normal((3, 3))
         if np.linalg.det(a) < 0:
             a[:, 0] = -a[:, 0]
-        np.testing.assert_array_equal(t_plus(a), nearest_orthogonal(a)[0])
-        np.testing.assert_array_equal(t_minus(a), nearest_opposite(a)[0])
+        plus, minus, _, _, _ = orthogonal_projections(a)
+        s = np.linalg.svd(a)[1]
+        assert np.sum((plus - a) ** 2) == pytest.approx(np.sum((s - 1) ** 2), abs=1e-10)
+        assert np.sum((minus - a) ** 2) == pytest.approx(
+            np.sum((s - 1) ** 2) + 4 * s[-1], abs=1e-10)
 
     def test_det_signs(self):
         rng = np.random.default_rng(7)
@@ -142,33 +121,9 @@ class TestTplusTminus:
             a = rng.standard_normal((3, 3))
             if abs(np.linalg.det(a)) < 1e-6:
                 continue
-            assert np.linalg.det(t_plus(a)) == pytest.approx(1.0, abs=1e-10)
-            assert np.linalg.det(t_minus(a)) == pytest.approx(-1.0, abs=1e-10)
-
-    def test_degenerate_rejected(self):
-        for fn in (t_plus, t_minus):
-            with pytest.raises(DegenerateDeterminantError):
-                fn(np.zeros((2, 2)))
-
-
-class TestFrobeniusInner:
-    def test_identity(self):
-        assert frobenius_inner(np.eye(2), np.eye(2)) == 2.0
-
-    def test_orthogonal_norm(self):
-        rng = np.random.default_rng(8)
-        q = random_orthogonal(rng, 3, 1)[0]
-        assert frobenius_inner(q, q) == pytest.approx(3.0, abs=1e-12)
-
-    def test_matches_elementwise_sum(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.standard_normal((2, 3, 3))
-        expected = sum(a[i, j] * b[i, j] for i in range(3) for j in range(3))
-        assert frobenius_inner(a, b) == pytest.approx(expected, abs=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            frobenius_inner(np.eye(2), np.eye(3))
+            plus, minus, _, _, _ = orthogonal_projections(a)
+            assert np.linalg.det(plus) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.det(minus) == pytest.approx(-1.0, abs=1e-10)
 
 
 class TestComponentGap:
@@ -188,14 +143,16 @@ class TestComponentGap:
 class TestStacked:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_single_matrix_ops(self, n):
+        # every row of the stacked call against the LAPACK SVD of that matrix
         rng = np.random.default_rng(11)
         mats = rng.standard_normal((40, n, n))
         plus, minus, gain, singular, _ = orthogonal_projections(mats)
         assert not singular.any()
         for i in range(len(mats)):
-            np.testing.assert_allclose(plus[i], t_plus(mats[i]), atol=1e-12)
-            np.testing.assert_allclose(minus[i], t_minus(mats[i]), atol=1e-12)
-            expected = frobenius_inner(plus[i] - minus[i], mats[i])
+            want_plus, want_minus, _ = svd_oracle(mats[i])
+            np.testing.assert_allclose(plus[i], want_plus, atol=1e-12)
+            np.testing.assert_allclose(minus[i], want_minus, atol=1e-12)
+            expected = np.sum((plus[i] - minus[i]) * mats[i])
             assert gain[i] == pytest.approx(expected, abs=1e-10)
 
     def test_projection_stack_singular_goes_plus(self):
@@ -265,10 +222,7 @@ class TestKernelProperties:
             lapack_det = np.linalg.det(a)
         assert det == pytest.approx(lapack_det, abs=1e-12 * scale**n)
         assert gain == pytest.approx(2 * s[-1] * np.sign(lapack_det), abs=1e-12 * scale)
-        # the nearest orthogonal matrix takes the det-sign branch, SO at det 0
         assert singular == (det == 0.0)
-        nearest, _ = nearest_orthogonal(a)
-        np.testing.assert_array_equal(nearest, plus if det >= 0 else minus)
 
         # where the projections are unique and well conditioned, they equal
         # the oracle's
@@ -276,6 +230,23 @@ class TestKernelProperties:
         assume(n == 1 or gaps.min() >= 0.05 * s[0])
         np.testing.assert_allclose(plus, want_plus, atol=1e-12)
         np.testing.assert_allclose(minus, want_minus, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_gaussian_stack_against_svd_oracle(self, n):
+        # n >= 4 sorts the SVD branch with LAPACK determinants
+        mats = np.random.default_rng(15 + n).standard_normal((200, n, n))
+        plus, minus, gain, singular, det = orthogonal_projections(mats)
+        for i, a in enumerate(mats):
+            want_plus, want_minus, s = svd_oracle(a)
+            scale = 1.0 + np.linalg.norm(a)
+            for t, sign in ((plus[i], 1.0), (minus[i], -1.0)):
+                np.testing.assert_allclose(t.T @ t, np.eye(n), atol=1e-12)
+                assert np.linalg.det(t) == pytest.approx(sign, abs=1e-12)
+            for t, want in ((plus[i], want_plus), (minus[i], want_minus)):
+                assert np.sum((t - a) ** 2) <= np.sum((want - a) ** 2) + 1e-12 * scale**2
+            assert gain[i] == pytest.approx(2 * s[-1] * np.sign(np.linalg.det(a)),
+                                            abs=1e-12 * scale)
+        np.testing.assert_array_equal(singular, det == 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -300,13 +271,11 @@ class TestKernelProperties:
     def assert_singular_goes_plus(a):
         n = len(a)
         plus, minus, gain, singular, det = orthogonal_projections(a[None])
-        nearest, _ = nearest_orthogonal(a)
         assert det[0] == 0.0 and singular[0]
         assert gain[0] == 0.0
-        np.testing.assert_array_equal(nearest, plus[0])
-        assert np.linalg.det(nearest) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.det(plus[0]) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.det(minus[0]) == pytest.approx(-1.0, abs=1e-12)
-        np.testing.assert_allclose(nearest.T @ nearest, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(plus[0].T @ plus[0], np.eye(n), atol=1e-12)
 
     def test_subnormal_input_stays_orthogonal(self):
         a = np.array([[3e-323, -5e-324], [5e-324, 3e-323]])

@@ -148,8 +148,6 @@ class TestValidation:
             ModeGrid(h=-1.0, m_half=4)
         with pytest.raises(ValueError):
             ModeGrid(h=1.0, m_half=0)
-        with pytest.raises(ValueError):
-            ModeGrid(h=1.0, m_half=4, d=2)
 
 
 class TestMultiColumn:
