@@ -14,7 +14,16 @@ elements T+ of SO(n) and T- of SO-(n), the gain
             identity (rotation) or diag(1, -1) (reflection).
     n >= 3  SVD A = U diag(sigma) V^t: U V^t and U D_n V^t with
             D_n = diag(1, ..., 1, -1), sorted into SO/SO- by the sign of
-            det(U V^t).
+            det U det V^t.
+
+The work is split where a caller first has what it needs to choose a
+branch.  projection_factors is one pass over the stack: det, the singular
+mask, the gain, and the per-matrix factors (z+, z- and their moduli for
+n = 2; U, V^t and the SO/SO- sign for n >= 3).  Its assemble(plus) then
+writes T+ where plus is true and T- elsewhere as one (..., n, n) stack: for
+n = 2 it picks z per matrix and normalises it once, for n >= 3 it takes one
+batched product U diag(1, ..., 1, +-1) V^t.  orthogonal_projections is that
+pass followed by the all-plus and all-minus assemblies.
 
 The nearest element of O(n) is T+ where det A >= 0 and T- otherwise, so a
 matrix with det exactly 0 goes to SO(n); its gain is 0.  The squared
@@ -30,9 +39,12 @@ closed-form for n <= 3 and LAPACK's for n >= 4.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field as dataclass_field
+
 import numpy as np
 
-__all__ = ["determinants", "orthogonal_projections"]
+__all__ = ["ProjectionFactors", "determinants", "orthogonal_projections",
+           "projection_factors"]
 
 
 def determinants(m: np.ndarray) -> np.ndarray:
@@ -73,6 +85,76 @@ def _matrix2(m00, m01, m10, m11) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class ProjectionFactors:
+    """One pass over a stack of shape (..., n, n): what its projections share.
+
+        det[i]     det mats[i]
+        singular   boolean mask of exactly-zero determinants
+        gain[i]    <T+ - T-, mats>_F  ( = 2 sigma_min sign(det), 0 if singular )
+
+    and the private factors T+ and T- are built from: none for n = 1, z+
+    and z- with their moduli for n = 2, and U, V^t with the sign of
+    det U det V^t (which of U V^t, U D_n V^t is in SO(n)) for n >= 3.
+    """
+
+    det: np.ndarray
+    singular: np.ndarray
+    gain: np.ndarray
+    _n: int = dataclass_field(repr=False)
+    _parts: tuple = dataclass_field(repr=False)
+
+    def assemble(self, plus) -> np.ndarray:
+        """T+ where plus is true and T- elsewhere, as one (..., n, n) stack.
+
+        plus broadcasts against det.  n = 2 normalises the chosen z once;
+        n >= 3 is one batched product U diag(1, ..., 1, +-1) V^t, which
+        writes to U while it runs: assemble from one ProjectionFactors in
+        one thread at a time.
+        """
+        plus = np.broadcast_to(np.asarray(plus, dtype=bool), self.det.shape)
+        if self._n >= 3:
+            u, vh, so = self._parts
+            # flip U's last column in place for the product and back (both
+            # exact), so the step holds no second (..., n, n) copy of U
+            flip = np.where(plus == so, 1.0, -1.0)[..., None]
+            last = u[..., :, -1]
+            last *= flip
+            try:
+                return u @ vh
+            finally:
+                last *= flip
+        sign = np.where(plus, 1.0, -1.0)
+        if self._n == 1:
+            return sign[..., None, None]
+        px, py, rp, mx, my, rm = self._parts
+        x, y = _unit(np.where(plus, px, mx), np.where(plus, py, my),
+                     np.where(plus, rp, rm))
+        return _matrix2(x, -sign * y, y, sign * x)
+
+
+def projection_factors(mats: np.ndarray) -> ProjectionFactors:
+    """The factor pass of the module docstring for a stack (..., n, n)."""
+    mats = np.asarray(mats, dtype=float)
+    n = mats.shape[-1]
+    det = determinants(mats)
+    singular = det == 0.0
+    if n == 1:
+        return ProjectionFactors(det, singular, 2.0 * mats[..., 0, 0], n, ())
+    if n == 2:
+        a, b = mats[..., 0, 0], mats[..., 0, 1]
+        c, d = mats[..., 1, 0], mats[..., 1, 1]
+        px, py = a + d, c - b
+        mx, my = a - d, b + c
+        rp, rm = np.hypot(px, py), np.hypot(mx, my)
+        gain = np.where(singular, 0.0, rp - rm)
+        return ProjectionFactors(det, singular, gain, n, (px, py, rp, mx, my, rm))
+    u, s, vh = np.linalg.svd(mats)
+    so = determinants(u) * determinants(vh) > 0
+    gain = 2.0 * s[..., -1] * np.sign(det)
+    return ProjectionFactors(det, singular, gain, n, (u, vh, so))
+
+
 def orthogonal_projections(mats: np.ndarray):
     """Per-matrix SO/SO- projections for a stack of shape (..., n, n).
 
@@ -84,32 +166,10 @@ def orthogonal_projections(mats: np.ndarray):
         singular   boolean mask of exactly-zero determinants
         det[i]     det mats[i]
 
-    computed as in the module docstring.  Singular entries follow the
+    computed as in the module docstring: projection_factors, then the
+    all-plus and all-minus assemblies.  Singular entries follow the
     plus-branch convention: gain is 0 there and both projections are still
     valid elements of their components.
     """
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[-1]
-    det = determinants(mats)
-    singular = det == 0.0
-    if n == 1:
-        ones = np.ones_like(mats)
-        return ones, -ones, 2.0 * mats[..., 0, 0], singular, det
-    if n == 2:
-        a, b = mats[..., 0, 0], mats[..., 0, 1]
-        c, d = mats[..., 1, 0], mats[..., 1, 1]
-        px, py = a + d, c - b
-        mx, my = a - d, b + c
-        rp, rm = np.hypot(px, py), np.hypot(mx, my)
-        gain = np.where(singular, 0.0, rp - rm)
-        px, py = _unit(px, py, rp)
-        mx, my = _unit(mx, my, rm)
-        return (_matrix2(px, -py, py, px), _matrix2(mx, my, my, -mx), gain,
-                singular, det)
-    u, s, vh = np.linalg.svd(mats)
-    uv = u @ vh
-    u[..., :, -1] = -u[..., :, -1]
-    uvd = u @ vh
-    so = (determinants(uv) > 0)[..., None, None]
-    gain = 2.0 * s[..., -1] * np.sign(det)
-    return np.where(so, uv, uvd), np.where(so, uvd, uv), gain, singular, det
+    f = projection_factors(mats)
+    return f.assemble(True), f.assemble(False), f.gain, f.singular, f.det

@@ -7,7 +7,11 @@ T+ where det A~ >= 0 (plain variant), or where the reassignment gain
     g(x) = < T+(A~(x)) - T-(A~(x)), A~(x) >_F = 2 sigma_min sign(det A~)
 
 clears a threshold that gives the plus region a prescribed measure V
-(volume-preserving variant).  The iteration monitor is the interpolated
+(volume-preserving variant).  The step runs matgeom's factor pass on A~,
+chooses the mask from det or the gain, and assembles only the chosen
+projection per point.  select_threshold sorts only the candidates for the
+prefix, O(N + K log K), and falls back to the full sort when they do not
+suffice.  The iteration monitor is the interpolated
 Dirichlet energy
 
     E_tau(A) = (1/tau) sum_i w_i ( n - <A_i, (e^{tau L} A)_i>_F ),
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalHealthError
 from .field import EnergyLog, MatrixField
-from .matgeom import orthogonal_projections
+from .matgeom import projection_factors
 
 __all__ = [
     "Diffuser",
@@ -136,6 +140,8 @@ def mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
 
     A point takes T+ where det A~ >= 0 when cfg.volume_target is None, and
     otherwise where select_threshold puts it in the prefix of largest gain.
+    One projection_factors pass gives det and the gain; one assembly then
+    writes the chosen T+ or T- of every point.
 
     plus is f's flattened SO(n) mask when the caller has it from the step
     that made (and checked) f, as mbo_run does; without it f is checked
@@ -149,23 +155,22 @@ def mbo_step(f: MatrixField, cfg: MboConfig, plus: np.ndarray | None = None):
     if not np.isfinite(frob):
         raise NumericalHealthError("non-finite diffusion result")
     energy = _energy(f, diffused, cfg.tau)
-    proj_plus, proj_minus, gain, singular, det = orthogonal_projections(diffused.flat())
+    proj = projection_factors(diffused.flat())
     if cfg.volume_target is None:
-        new_plus = det >= 0.0
+        new_plus = proj.det >= 0.0
     else:
-        thr = select_threshold(gain, f.weights, cfg.volume_target)
+        thr = select_threshold(proj.gain, f.weights, cfg.volume_target)
         new_plus = np.zeros(f.npoints, dtype=bool)
         new_plus[thr.plus_indices] = True
-    new_data = np.where(new_plus[:, None, None], proj_plus, proj_minus)
-    new = f.copy_with(new_data.reshape(f.data.shape))
+    new = f.copy_with(proj.assemble(new_plus).reshape(f.data.shape))
     try:
         new.require_orthogonal()
     except ValueError as exc:
         raise NumericalHealthError(f"projection output: {exc}") from exc
     flips = int(np.count_nonzero(new_plus != plus))
     return new, StepStats(energy, _max_frobenius(new.data - f.data), flips,
-                          int(np.count_nonzero(singular)), frob,
-                          float(np.abs(det).max()), new_plus)
+                          int(np.count_nonzero(proj.singular)), frob,
+                          float(np.abs(proj.det).max()), new_plus)
 
 
 def select_threshold(values, weights, target: float) -> ThresholdResult:
@@ -174,22 +179,59 @@ def select_threshold(values, weights, target: float) -> ThresholdResult:
     lam is the midpoint of the last included and first excluded value; when
     every point is included it falls back to min(values) - 1 (and
     symmetrically max(values) + 1 for an empty prefix, which the volume
-    precondition rules out).  Ties keep ascending point-index order.
+    precondition rules out).  Ties keep ascending point-index order.  When
+    the running sum of the whole order ends below target (it is sequential,
+    the total check is pairwise, so they can differ by roundoff) every point
+    is included.
+
+    With positive weights the prefix holds at most ceil(target / min w)
+    points, so only the K = ceil(target / min w) + 2 largest values (the
+    prefix, the first excluded point and one for roundoff), with every tie
+    of the K-th, are stably sorted: O(N + K log K).  Their running sum is
+    the start of the full one, bit for bit.  The full stable sort runs when
+    K >= N, or when the candidates hold no point that reaches target or no
+    first excluded point.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
     total = float(weights.sum())
     if not 0.0 < target < total:
         raise ValueError(f"volume target {target:g} outside (0, {total:g})")
-    order = np.argsort(-values, kind="stable")
-    cum = np.cumsum(weights[order])
-    k = int(np.argmax(cum >= target))           # first index reaching target
-    plus = order[:k + 1]
-    if k + 1 < len(values):
-        lam = 0.5 * (values[order[k]] + values[order[k + 1]])
+    n = len(values)
+    wmin = float(weights.min())
+    if wmin > 0.0 and target < n * wmin:
+        kth = int(np.ceil(target / wmin)) + 2
+        if kth < n:
+            pivot = np.partition(values, n - kth)[n - kth]
+            cand = np.flatnonzero(values >= pivot)
+            found = _prefix(values, weights, target, cand)
+            if found is not None:
+                return found
+    return _prefix(values, weights, target, np.arange(n))
+
+
+def _prefix(values, weights, target, cand):
+    """select_threshold over the stable descending order of values[cand].
+
+    cand is ascending.  Unless it is every point, None when it holds no
+    point that reaches target or no first excluded point.
+    """
+    order = cand[np.argsort(-values[cand], kind="stable")]
+    reached = np.cumsum(weights[order]) >= target
+    every = len(order) == len(values)
+    if reached.any():
+        k = int(np.argmax(reached))             # first index reaching target
+    elif every:
+        k = len(order) - 1
     else:
+        return None
+    if k + 1 < len(order):
+        lam = 0.5 * (values[order[k]] + values[order[k + 1]])
+    elif every:
         lam = float(values.min()) - 1.0
-    return ThresholdResult(float(lam), plus)
+    else:
+        return None
+    return ThresholdResult(float(lam), order[:k + 1])
 
 
 def mbo_run(initial: MatrixField, cfg: MboConfig) -> RunResult:

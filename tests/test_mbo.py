@@ -4,7 +4,7 @@ import pytest
 
 from orthoflow.errors import NumericalHealthError
 from orthoflow.field import GridSpec, MatrixField, plus_volume
-from orthoflow.matgeom import orthogonal_projections
+from orthoflow.matgeom import ProjectionFactors, orthogonal_projections
 from orthoflow.mbo import MboConfig, lyapunov_energy, mbo_run, mbo_step, select_threshold
 from orthoflow.scenarios import ScenarioSpec, build_initial, reflection_branch, rotation_branch
 from orthoflow.torus_heat import TorusDiffuser
@@ -190,6 +190,17 @@ class TestSelectThreshold:
         inc = w[res.plus_indices].sum()
         assert inc >= target
         assert inc - w[res.plus_indices[-1]] < target
+
+    def test_running_sum_short_of_target_by_roundoff_takes_every_point(self):
+        # the range check uses the pairwise total; the sequential running sum
+        # of these weights ends just below it
+        w = np.full(1000, 0.1 + 1e-3 * np.pi)
+        target = np.nextafter(w.sum(), 0.0)
+        assert np.cumsum(w)[-1] < target
+        vals = np.random.default_rng(4).standard_normal(1000)
+        res = select_threshold(vals, w, target)
+        assert sorted(res.plus_indices.tolist()) == list(range(1000))
+        assert res.lam == vals.min() - 1.0
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
@@ -423,13 +434,9 @@ class TestSinglePassStep:
             mbo_run(f, MboConfig(backend=NanDiffuser()))
 
     def test_non_orthogonal_projection_output_is_a_health_error(self, monkeypatch):
-        import orthoflow.mbo as mbo_module
-
-        def broken_projections(mats):
-            plus, minus, gain, singular, det = orthogonal_projections(mats)
-            return 2.0 * plus, 2.0 * minus, gain, singular, det
-
-        monkeypatch.setattr(mbo_module, "orthogonal_projections", broken_projections)
+        assemble = ProjectionFactors.assemble
+        monkeypatch.setattr(ProjectionFactors, "assemble",
+                            lambda self, plus: 2.0 * assemble(self, plus))
         g = GridSpec((32, 32))
         with pytest.raises(NumericalHealthError, match="projection output"):
             mbo_run(constant_rotation_field(g), torus_cfg(g, 0.01))
