@@ -13,7 +13,7 @@ from .errors import ConfigurationError, SnapshotFormatError, UnderResolvedError
 from .field import (EnergyLog, GridSpec, MatrixField, interface_cells,
                     plus_region_stats, plus_volume, read_snapshot,
                     winding_pair, write_snapshot)
-from .matgeom import determinants, orthogonal_projections
+from .matgeom import determinants, projection_factors
 from .mbo import (Diffuser, MboConfig, RunResult, lyapunov_energy, mbo_run,
                   mbo_step, select_threshold)
 from .nufft import ModeGrid, direct_type1, direct_type2, nufft_type1, nufft_type2

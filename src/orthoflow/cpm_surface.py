@@ -347,10 +347,6 @@ class BandSet:
     def n_q(self) -> int:
         return len(self.quad_points)
 
-    @property
-    def cell_count(self) -> int:
-        return len(self.grid_points)
-
     def surface_weights(self) -> np.ndarray:
         """Per-point surface-measure weights (sum equals the surface area)."""
         total = float(np.sum(self.quad_weights))
@@ -403,10 +399,13 @@ def build_band(surface: Surface, spec: BandSpec) -> BandSet:
                    quad_weights, closest)
 
 
-def _chunked_closest(surface, points, chunk: int = 262144):
+_CLOSEST_CHUNK = 262144    # points per surface.closest call
+
+
+def _chunked_closest(surface, points):
     out = np.empty_like(points)
-    for lo in range(0, len(points), chunk):
-        hi = min(lo + chunk, len(points))
+    for lo in range(0, len(points), _CLOSEST_CHUNK):
+        hi = min(lo + _CLOSEST_CHUNK, len(points))
         out[lo:hi] = surface.closest(points[lo:hi])
     return out
 

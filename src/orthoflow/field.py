@@ -186,11 +186,12 @@ class MatrixField:
                     sq += 2.0 * g * g
         return float(np.sqrt(sq.max()))
 
-    def require_orthogonal(self, tol: float = ORTHOGONALITY_TOL) -> float:
-        """Raise ValueError unless the defect is at most tol; return the defect."""
+    def require_orthogonal(self) -> float:
+        """Raise ValueError unless defect <= ORTHOGONALITY_TOL; return the defect."""
         defect = self.orthogonality_defect()
-        if not defect <= tol:
-            raise ValueError(f"field is not orthogonal: defect {defect:.3e} > {tol:g}")
+        if not defect <= ORTHOGONALITY_TOL:
+            raise ValueError(f"field is not orthogonal: defect {defect:.3e} "
+                             f"> {ORTHOGONALITY_TOL:g}")
         return defect
 
     def max_deviation_from_mean(self) -> float:
@@ -284,9 +285,11 @@ class PlusRegionStats:
 def plus_region_stats(f: MatrixField) -> PlusRegionStats:
     """Area, perimeter estimate, and isoperimetric ratio of the plus region.
 
-    The perimeter uses the Cauchy-Crofton line-intercept count: (pi/4) times
-    the number of +axis sign-change crossings times dx.  First-order, no
-    sub-cell reconstruction; calibrated so digital circles score ratio ~= 1.
+    The perimeter uses the Cauchy-Crofton line-intercept count
+    (pi/4) (N_0 h_1 + N_1 h_0), where N_a counts the +axis sign-change
+    crossings along axis a and each crossing is weighted by the spacing h of
+    the other axis.  First-order, no sub-cell reconstruction; calibrated so
+    digital circles score ratio ~= 1.
     An empty or full plus region has no interface and the ratio is signalled
     as None.
     """
@@ -298,8 +301,9 @@ def plus_region_stats(f: MatrixField) -> PlusRegionStats:
 
 def _plus_region_stats(f: MatrixField, det: np.ndarray) -> PlusRegionStats:
     area = _plus_volume(f, det)
-    crossings = sum(int(np.count_nonzero(m)) for m in _sign_changes(det))
-    perimeter = (np.pi / 4.0) * crossings * f.grid.dx
+    n0, n1 = (int(np.count_nonzero(m)) for m in _sign_changes(det))
+    h0, h1 = f.grid.spacing
+    perimeter = (np.pi / 4.0) * (n0 * h1 + n1 * h0)
     if area <= 0.0 or perimeter <= 0.0:
         return PlusRegionStats(area, perimeter, None)
     ratio = perimeter**2 / (4.0 * np.pi * area)

@@ -1,9 +1,12 @@
 """Small dense-matrix geometry: SVD and projections onto O(n), SO(n), SO-(n).
 
 Matrices are numpy arrays whose trailing two axes are (n, n).
-orthogonal_projections returns, for every matrix A of a stack, the nearest
-elements T+ of SO(n) and T- of SO-(n), the gain
-<T+ - T-, A>_F = 2 sigma_min sign(det A), and det A:
+projection_factors is one pass over a stack: det A, the singular mask, the
+gain <T+ - T-, A>_F = 2 sigma_min sign(det A) between the nearest elements
+T+ of SO(n) and T- of SO-(n), and the per-matrix factors they are built
+from (z+, z- and their moduli for n = 2; U, V^t and the SO/SO- sign for
+n >= 3).  Its assemble(plus) writes T+ where plus is true and T- elsewhere
+as one (..., n, n) stack:
 
     n = 1   T+ = 1, T- = -1, det A = a.
     n = 2   closed form from SO(2) ~ U(1): with z+ = (a+d) + i(c-b) and
@@ -16,14 +19,8 @@ elements T+ of SO(n) and T- of SO-(n), the gain
             D_n = diag(1, ..., 1, -1), sorted into SO/SO- by the sign of
             det U det V^t.
 
-The work is split where a caller first has what it needs to choose a
-branch.  projection_factors is one pass over the stack: det, the singular
-mask, the gain, and the per-matrix factors (z+, z- and their moduli for
-n = 2; U, V^t and the SO/SO- sign for n >= 3).  Its assemble(plus) then
-writes T+ where plus is true and T- elsewhere as one (..., n, n) stack: for
-n = 2 it picks z per matrix and normalises it once, for n >= 3 it takes one
-batched product U diag(1, ..., 1, +-1) V^t.  orthogonal_projections is that
-pass followed by the all-plus and all-minus assemblies.
+The pass and the assembly are split where a caller first has what it
+needs to choose a branch.
 
 The nearest element of O(n) is T+ where det A >= 0 and T- otherwise, so a
 matrix with det exactly 0 goes to SO(n); its gain is 0.  The squared
@@ -43,8 +40,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-__all__ = ["ProjectionFactors", "determinants", "orthogonal_projections",
-           "projection_factors"]
+__all__ = ["ProjectionFactors", "determinants", "projection_factors"]
 
 
 def determinants(m: np.ndarray) -> np.ndarray:
@@ -108,22 +104,16 @@ class ProjectionFactors:
         """T+ where plus is true and T- elsewhere, as one (..., n, n) stack.
 
         plus broadcasts against det.  n = 2 normalises the chosen z once;
-        n >= 3 is one batched product U diag(1, ..., 1, +-1) V^t, which
-        writes to U while it runs: assemble from one ProjectionFactors in
-        one thread at a time.
+        n >= 3 is one batched product U diag(1, ..., 1, +-1) V^t.  Only
+        arrays allocated here are written.
         """
         plus = np.broadcast_to(np.asarray(plus, dtype=bool), self.det.shape)
         if self._n >= 3:
             u, vh, so = self._parts
-            # flip U's last column in place for the product and back (both
-            # exact), so the step holds no second (..., n, n) copy of U
-            flip = np.where(plus == so, 1.0, -1.0)[..., None]
-            last = u[..., :, -1]
-            last *= flip
-            try:
-                return u @ vh
-            finally:
-                last *= flip
+            # scaling U's last column by +-1 is exact
+            d = np.ones(so.shape + (1, self._n))
+            d[..., 0, -1] = np.where(plus == so, 1.0, -1.0)
+            return (u * d) @ vh
         sign = np.where(plus, 1.0, -1.0)
         if self._n == 1:
             return sign[..., None, None]
@@ -154,22 +144,3 @@ def projection_factors(mats: np.ndarray) -> ProjectionFactors:
     gain = 2.0 * s[..., -1] * np.sign(det)
     return ProjectionFactors(det, singular, gain, n, (u, vh, so))
 
-
-def orthogonal_projections(mats: np.ndarray):
-    """Per-matrix SO/SO- projections for a stack of shape (..., n, n).
-
-    Returns (plus, minus, gain, singular, det) where
-
-        plus[i]    nearest matrix in SO(n)
-        minus[i]   nearest matrix in SO-(n)
-        gain[i]    <plus - minus, mats>_F  ( = 2 sigma_min sign(det) )
-        singular   boolean mask of exactly-zero determinants
-        det[i]     det mats[i]
-
-    computed as in the module docstring: projection_factors, then the
-    all-plus and all-minus assemblies.  Singular entries follow the
-    plus-branch convention: gain is 0 there and both projections are still
-    valid elements of their components.
-    """
-    f = projection_factors(mats)
-    return f.assemble(True), f.assemble(False), f.gain, f.singular, f.det

@@ -23,7 +23,7 @@ import numpy as np
 from .cpm_surface import BandSet, Sphere, Surface, peanut_surface
 from .errors import ConfigurationError
 from .field import GridSpec, MatrixField
-from .matgeom import orthogonal_projections
+from .matgeom import projection_factors
 
 __all__ = [
     "ScenarioSpec",
@@ -59,8 +59,8 @@ _MINUS_SEED = np.array([
     [0.959291, 0.149294, 0.254282],
 ])
 
-PATCH_PLUS = orthogonal_projections(_PLUS_SEED)[0]     # det +1 exactly
-PATCH_MINUS = orthogonal_projections(_MINUS_SEED)[1]   # det -1 exactly
+PATCH_PLUS = projection_factors(_PLUS_SEED).assemble(True)      # det +1 exactly
+PATCH_MINUS = projection_factors(_MINUS_SEED).assemble(False)   # det -1 exactly
 
 
 def rotation_branch(alpha: np.ndarray) -> np.ndarray:

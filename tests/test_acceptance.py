@@ -16,11 +16,11 @@ from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser,
                                    band_width, build_band, spectral_grid)
 from orthoflow.field import (GridSpec, MatrixField, plus_region_stats,
                              plus_volume, winding_pair)
-from orthoflow.matgeom import orthogonal_projections
 from orthoflow.mbo import MboConfig, mbo_run, mbo_step, select_threshold
 from orthoflow.nufft import ModeGrid, direct_type1, direct_type2, nufft_type1, nufft_type2
 from orthoflow.scenarios import ScenarioSpec, build_initial, rotation_branch
 from orthoflow.torus_heat import TorusDiffuser
+from projection_helper import both_projections
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -135,7 +135,7 @@ def test_c03_projection_oracles():
         # the det-sign branch (T+ where det >= 0, else T-) beats sampling
         # over all of O(n); the other branch beats sampling over the
         # opposite component
-        plus, minus, _, _, det = orthogonal_projections(mats)
+        plus, minus, _, _, det = both_projections(mats)
         so = (det >= 0)[:, None, None]
         nearest, opposite = np.where(so, plus, minus), np.where(so, minus, plus)
         s = np.linalg.svd(mats, compute_uv=False)
@@ -351,7 +351,7 @@ def test_c11_volume_constraint(shipped_runs):
     mats = rng.standard_normal((6, 2, 2))
     weights = np.ones(6)
     target6 = 3.0
-    plus, minus, gains, _, _ = orthogonal_projections(mats)
+    plus, minus, gains, _, _ = both_projections(mats)
     thr = select_threshold(gains, weights, target6)
     chosen = np.zeros(6, dtype=bool)
     chosen[thr.plus_indices] = True

@@ -296,6 +296,19 @@ class TestCheckReport:
         assert f"area={stats.area:.6f} perimeter={stats.perimeter_estimate:.6f} " in out
         assert f"winding=({ix},{iy})\n" in out
 
+    def test_anisotropic_grid_perimeter_per_axis(self, tmp_path, capsys):
+        # a 3 x 4 block of plus cells on spacings (1/8, 1/4): N_0 = 8 sign
+        # changes along axis 0 and N_1 = 6 along axis 1
+        data = -np.ones((8, 8, 1, 1))
+        data[2:5, 1:5] = 1.0
+        path = tmp_path / "a.mbof"
+        write_snapshot(MatrixField.grid_field(GridSpec((8, 8), (1.0, 2.0)), data), path)
+        assert cmd_check(path) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        perimeter = (np.pi / 4.0) * (8 * 0.25 + 6 * 0.125)
+        assert f"area=0.375000 perimeter={perimeter:.6f} " in captured.out
+
     def test_large_n_one_point_snapshot_is_fast(self, tmp_path, capsys):
         n = 400
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))

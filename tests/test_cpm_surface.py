@@ -266,14 +266,14 @@ class TestBuildBand:
         # dx=0.05, w_b=0.5532: retained cells track the reported size (the
         # p^3 quadrature multiplier is not part of this count)
         band = build_band(Sphere(1.0), BandSpec(dx=0.05, w_b=0.5532, p=1, eps=1e-6))
-        assert abs(band.cell_count - 136114) <= 0.25 * 136114
-        assert band.n_q == band.cell_count    # p = 1
+        assert abs(len(band.grid_points) - 136114) <= 0.25 * 136114
+        assert band.n_q == len(band.grid_points)    # p = 1
 
     def test_weights_per_cell_sum_dx3(self):
         band = build_band(Sphere(1.0), BandSpec(dx=0.2, w_b=0.6, p=3, eps=1e-6))
-        w = band.quad_weights.reshape(band.cell_count, 27)
+        w = band.quad_weights.reshape(len(band.grid_points), 27)
         np.testing.assert_allclose(w.sum(axis=1), 0.2**3, atol=1e-12)
-        assert band.n_q == 27 * band.cell_count
+        assert band.n_q == 27 * len(band.grid_points)
 
     def test_distances_below_band_width(self, sphere_band):
         assert sphere_band.grid_distances.max() < sphere_band.spec.w_b

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthoflow.field import GridSpec, MatrixField
-from orthoflow.matgeom import determinants, orthogonal_projections
+from orthoflow.matgeom import determinants
+from projection_helper import both_projections
 
 
 def random_orthogonal(rng, n, count, det_sign=None):
@@ -30,7 +31,7 @@ def nearest(a):
     The nearest element of O(n) takes the det-sign branch (SO at det 0); the
     opposite one takes the other branch.
     """
-    plus, minus, _, _, det = (x[0] for x in orthogonal_projections(a[None]))
+    plus, minus, _, _, det = (x[0] for x in both_projections(a[None]))
     return (plus, minus) if det >= 0 else (minus, plus)
 
 
@@ -109,7 +110,7 @@ class TestTplusTminus:
         a = rng.standard_normal((3, 3))
         if np.linalg.det(a) < 0:
             a[:, 0] = -a[:, 0]
-        plus, minus, _, _, _ = orthogonal_projections(a)
+        plus, minus, _, _, _ = both_projections(a)
         s = np.linalg.svd(a)[1]
         assert np.sum((plus - a) ** 2) == pytest.approx(np.sum((s - 1) ** 2), abs=1e-10)
         assert np.sum((minus - a) ** 2) == pytest.approx(
@@ -121,7 +122,7 @@ class TestTplusTminus:
             a = rng.standard_normal((3, 3))
             if abs(np.linalg.det(a)) < 1e-6:
                 continue
-            plus, minus, _, _, _ = orthogonal_projections(a)
+            plus, minus, _, _, _ = both_projections(a)
             assert np.linalg.det(plus) == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.det(minus) == pytest.approx(-1.0, abs=1e-10)
 
@@ -146,7 +147,7 @@ class TestStacked:
         # every row of the stacked call against the LAPACK SVD of that matrix
         rng = np.random.default_rng(11)
         mats = rng.standard_normal((40, n, n))
-        plus, minus, gain, singular, _ = orthogonal_projections(mats)
+        plus, minus, gain, singular, _ = both_projections(mats)
         assert not singular.any()
         for i in range(len(mats)):
             want_plus, want_minus, _ = svd_oracle(mats[i])
@@ -158,7 +159,7 @@ class TestStacked:
     def test_projection_stack_singular_goes_plus(self):
         mats = np.stack([np.diag([1.0, 0.0]), np.diag([2.0, 0.5]),
                          np.array([[0.0, 1.0], [0.0, 0.0]])])
-        plus, _, gain, singular, det = orthogonal_projections(mats)
+        plus, _, gain, singular, det = both_projections(mats)
         np.testing.assert_array_equal(singular, [True, False, True])
         np.testing.assert_array_equal(det == 0.0, singular)
         assert gain[0] == 0.0 and gain[2] == 0.0
@@ -205,7 +206,7 @@ class TestKernelProperties:
     def test_against_svd_oracle(self, a):
         n = len(a)
         plus, minus, gain, singular, det = (
-            x[0] for x in orthogonal_projections(a[None]))
+            x[0] for x in both_projections(a[None]))
         want_plus, want_minus, s = svd_oracle(a)
         scale = 1.0 + np.linalg.norm(a)
 
@@ -235,7 +236,7 @@ class TestKernelProperties:
     def test_gaussian_stack_against_svd_oracle(self, n):
         # n >= 4 sorts the SVD branch with LAPACK determinants
         mats = np.random.default_rng(15 + n).standard_normal((200, n, n))
-        plus, minus, gain, singular, det = orthogonal_projections(mats)
+        plus, minus, gain, singular, det = both_projections(mats)
         for i, a in enumerate(mats):
             want_plus, want_minus, s = svd_oracle(a)
             scale = 1.0 + np.linalg.norm(a)
@@ -270,7 +271,7 @@ class TestKernelProperties:
     @staticmethod
     def assert_singular_goes_plus(a):
         n = len(a)
-        plus, minus, gain, singular, det = orthogonal_projections(a[None])
+        plus, minus, gain, singular, det = both_projections(a[None])
         assert det[0] == 0.0 and singular[0]
         assert gain[0] == 0.0
         assert np.linalg.det(plus[0]) == pytest.approx(1.0, abs=1e-12)
@@ -279,7 +280,7 @@ class TestKernelProperties:
 
     def test_subnormal_input_stays_orthogonal(self):
         a = np.array([[3e-323, -5e-324], [5e-324, 3e-323]])
-        plus, minus, _, _, _ = orthogonal_projections(a[None])
+        plus, minus, _, _, _ = both_projections(a[None])
         for t in (plus[0], minus[0]):
             np.testing.assert_allclose(t @ t.T, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(plus[0], [[6 / 37**0.5, -1 / 37**0.5],
@@ -289,10 +290,10 @@ class TestKernelProperties:
         rng = np.random.default_rng(12)
         for n in (1, 2, 3):
             mats = rng.standard_normal((4, 5, n, n))
-            whole = orthogonal_projections(mats)
+            whole = both_projections(mats)
             assert [x.shape for x in whole] == [mats.shape] * 2 + [(4, 5)] * 3
             for idx in np.ndindex(4, 5):
-                for got, one in zip(whole, orthogonal_projections(mats[idx])):
+                for got, one in zip(whole, both_projections(mats[idx])):
                     np.testing.assert_array_equal(one, got[idx])
 
 

@@ -4,10 +4,11 @@ import pytest
 
 from orthoflow.errors import NumericalHealthError
 from orthoflow.field import GridSpec, MatrixField, plus_volume
-from orthoflow.matgeom import ProjectionFactors, orthogonal_projections
+from orthoflow.matgeom import ProjectionFactors, projection_factors
 from orthoflow.mbo import MboConfig, lyapunov_energy, mbo_run, mbo_step, select_threshold
 from orthoflow.scenarios import ScenarioSpec, build_initial, reflection_branch, rotation_branch
 from orthoflow.torus_heat import TorusDiffuser
+from projection_helper import both_projections
 
 
 def constant_rotation_field(grid, angle=0.3):
@@ -128,7 +129,7 @@ class TestMboStep:
 
 def gain(f):
     """The stacked reassignment gain <T+ - T-, A>_F of every point of f."""
-    return orthogonal_projections(f.flat())[2]
+    return projection_factors(f.flat()).gain
 
 
 class TestDeltaE:
@@ -152,7 +153,7 @@ class TestDeltaE:
         f.data.reshape(-1, 2, 2)[:30] = mats
         gains = gain(f)[:30]
         for i, m in enumerate(mats):
-            plus, minus, _, _, _ = orthogonal_projections(m)
+            plus, minus, _, _, _ = both_projections(m)
             expected = np.sum((plus - minus) * m)
             assert gains[i] == pytest.approx(expected, abs=1e-10)
             s = np.linalg.svd(m, compute_uv=False)
@@ -223,7 +224,7 @@ class TestVolumeStep:
         mats = rng.standard_normal((6, 2, 2))
         weights = np.ones(6)
         target = 3.0
-        plus, minus, gains, _, _ = orthogonal_projections(mats)
+        plus, minus, gains, _, _ = both_projections(mats)
         res = select_threshold(gains, weights, target)
         chosen = np.zeros(6, dtype=bool)
         chosen[res.plus_indices] = True

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from orthoflow.cli import _build_run, parse_config
 from orthoflow.field import MatrixField
-from orthoflow.matgeom import (_matrix2, _unit, determinants, orthogonal_projections,
-                               projection_factors)
+from orthoflow.matgeom import _matrix2, _unit, determinants, projection_factors
 from orthoflow.mbo import (MboConfig, StepStats, _energy, _max_frobenius, mbo_step,
                            select_threshold)
+from orthoflow.scenarios import _MINUS_SEED, _PLUS_SEED, PATCH_MINUS, PATCH_PLUS
+from projection_helper import both_projections
 from test_mbo import FixedDiffuser
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -150,8 +151,30 @@ def test_one_assembly_equals_where_of_both_stacks(n):
         mask = rng.random((5, 8)) < 0.5
         want = np.where(mask[..., None, None], plus, minus)
         assert same_bits(factors.assemble(mask), want)
-    for got, want in zip(orthogonal_projections(mats), reference_projections(mats)):
+    for got, want in zip(both_projections(mats), reference_projections(mats)):
         assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_assemble_leaves_its_factors_unwritten(n):
+    # with U and V^t read-only, every assembly still gives the oracle's bits
+    rng = np.random.default_rng(50 + n)
+    mats = awkward_stack(rng, n, 40)
+    factors = projection_factors(mats)
+    u, vh, _ = factors._parts
+    before = u.copy(), vh.copy()
+    u.setflags(write=False)
+    vh.setflags(write=False)
+    plus, minus, _, _, _ = reference_projections(mats)
+    for mask in (True, False, rng.random(40) < 0.5):
+        want = np.where(np.broadcast_to(mask, (40,))[:, None, None], plus, minus)
+        assert same_bits(factors.assemble(mask), want)
+    assert same_bits(u, before[0]) and same_bits(vh, before[1])
+
+
+def test_surface_patches_match_the_two_branch_oracle():
+    assert same_bits(PATCH_PLUS, reference_projections(_PLUS_SEED)[0])
+    assert same_bits(PATCH_MINUS, reference_projections(_MINUS_SEED)[1])
 
 
 # -- the partial select against the full sort ----------------------------------
