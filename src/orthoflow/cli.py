@@ -14,8 +14,8 @@ Exit codes:
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
             key outside the schema, a repeated key, a non-finite tau,
             stop_tol, surface.dx or surface.w_b and a volume target outside
-            (0, total measure)) or an output file that cannot be written,
-            4 numerical failure during the run (NumericalHealthError);
+            (0, total measure)), set-up arrays beyond memory or an unwritable
+            output file, 4 numerical failure during the run (NumericalHealthError);
             errors print one line on stderr
     tables  0 all entries match, 3 mismatches
     check   0 valid, 1 malformed or non-orthogonal snapshot
@@ -169,7 +169,7 @@ def cmd_run(config_path, out_dir=None, snapshot_every=None) -> int:
         initial, mbo_cfg = _build_run(cfg)
         out = Path(cfg.get("output.dir", "."))
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigurationError, OSError, ValueError) as exc:
+    except (ConfigurationError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,10 +14,10 @@ and the Fourier-space evaluation uses the 1D kernel expansion
 
 on a mode lattice of spacing h, tensorized over the three axes.  The two
 Fourier sums (band points -> modes, modes -> surface points) are a type-1
-and a type-2 NUFFT; the step is real, so they run fused, for all n^2 matrix
-components at once: the truncated heat multiplier is folded at set-up into
-the per-axis matrices of the separable band-lattice spread, whose real part
-the step keeps, and the gather follows, with no FFT per step.
+and a type-2 NUFFT; they run fused, for all n^2 matrix components at once:
+the kernel is the tensor product of the real 1D expansions, so its
+multiplier is folded at set-up into the real per-axis matrices of the
+separable band-lattice spread, and the gather follows, with no FFT per step.
 
 Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
 step; the diffusion time rescales by the squared map factor.
@@ -422,9 +422,9 @@ class SurfaceDiffuser:
     LatticeSpreader filtered by mu, and a scalar normalization fixing the
     constant field (almost) exactly.  mu folds both ES deconvolutions, the
     damping exp(-m^2 h^2 tau), the constant and the FFT normalisations into
-    one factor per axis, kept on [-M, M-1] only.  Mode k of the step then has
-    the weight (chi_S(k) + chi_S(-k))/2, S = [-M, M-1]^3 the kept lattice:
-    the real part of type-1 -> damp -> type-2, with no FFT per step.
+    one even factor per axis on the half spectrum, weighted 1 below M, 1/2 at
+    M and 0 above: the step kernel is the tensor product of the real 1D
+    expansions over -M..M-1 (the lone -M mode split evenly between +-M).
     """
 
     def __init__(self, band: BandSet, tau: float, eps: float | None = None):
@@ -453,14 +453,12 @@ class SurfaceDiffuser:
         tgt = (band.closest_points - self.center) * self.scale
         self._tgt_plan = GridderPlan(tgt, self.modes, eps)
 
-        # mu per axis: both deconvolutions (equal, taken at -|k| so even), the
-        # damping and constants, kept on [-M, M-1]; H = (mu_x mu_y mu_z + mirror)/2
-        # and the mirror term is the conjugate, so H is the filtered spread's real part
+        # mu per axis on k = 0..n/2; the two deconvolutions are equal, taken at -k
         m, n, h = self.modes.m_half, self._tgt_plan.n_over, self.modes.h
-        k = np.fft.fftfreq(n, 1.0 / n)
-        g = self._tgt_plan.axis_deconv[m - np.minimum(np.abs(k), m).astype(int)]
+        k = np.arange(n // 2 + 1)
+        g = self._tgt_plan.axis_deconv[m - np.minimum(k, m)]
         self._mu = (g * g * np.exp(-(h * k) ** 2 * self.tau_scaled) * (h / (2.0 * np.pi * n))
-                    * ((k >= -m) & (k < m)))
+                    * np.where(k < m, 1.0, 0.5 * (k == m)))
         self._spreader = LatticeSpreader(src, self.modes, eps).filtered(self._mu)
 
         # calibrate the residual scalar on the constant field

@@ -55,6 +55,8 @@ class GridSpec:
             object.__setattr__(self, "extent", (1.0,) * len(self.sizes))
         if len(self.extent) != len(self.sizes):
             raise ValueError("sizes and extent must have equal length")
+        if not all(0 < e < np.inf for e in self.extent):
+            raise ValueError("grid extents must be finite and positive")
         if any(s < 8 for s in self.sizes):
             raise ValueError("grid sizes must be >= 8 per axis")
 
@@ -438,8 +440,6 @@ def _parse_snapshot(fh, size) -> MatrixField:
             raise SnapshotFormatError("grid dimension d = 0")
         sizes = struct.unpack(f"<{d}Q", take(8 * d, "sizes"))
         extent = struct.unpack(f"<{d}d", take(8 * d, "extents"))
-        if not all(np.isfinite(e) and e > 0 for e in extent):
-            raise SnapshotFormatError("grid extents must be finite and positive")
         npts = math.prod(sizes)
         data = np.frombuffer(take(npts * n * n * 8, "matrix data"), dtype="<f8")
         rest_is_empty()

@@ -238,6 +238,20 @@ class TestFailureExitCodes:
         assert err == "error: numerical failure during the run: synthetic failure\n"
         assert not (tmp_path / "o" / "final.mbof").exists()
 
+    @pytest.mark.parametrize("config, call", [
+        ("scenario.name = torus_disk_n1\ngrid.size = 1000000\n", "TorusDiffuser"),
+        ("scenario.name = sphere_two_patches\nsurface.dx = 0.0001\n", "build_band")])
+    def test_arrays_beyond_memory_exit_one(self, tmp_path, capsys, monkeypatch, config, call):
+        # the set-up call fails as numpy does, without allocating anything
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.64 TiB for an array")
+
+        monkeypatch.setattr(cli, call, out_of_memory)
+        code = cmd_run(write_config(tmp_path / "cfg.txt", config), out_dir=tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: Unable to allocate 3.64 TiB for an array\n"
+
     def test_unwritable_output_exit_one(self, tmp_path, capsys):
         # the run succeeds, but energy_log.csv is a directory
         cfg = write_config(tmp_path / "cfg.txt", """

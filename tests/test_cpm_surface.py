@@ -395,13 +395,23 @@ class TestFusedHeatStep:
 
     @staticmethod
     def complex_reference(dif, values):
-        """type-1 -> damp -> type-2 -> real part, times the quadrature constant."""
+        """type-1 -> damp -> type-2 -> real part, times the quadrature constant,
+        averaged over the flips p -> p * s of both point sets for s in (1, 1, 1),
+        (-1, 1, 1), (1, -1, 1) and (1, 1, -1).  Per axis, the complex 1D sum is
+        C + iS with C even and S odd in the point difference; a flip negates
+        that axis's S, so the average keeps C_x C_y C_z, the tensor product of
+        the real 1D expansions, and drops the terms with two S factors."""
         v = dif.modes.mode_values() ** 2
         damp = np.exp(-(v[:, None, None] + v[None, :, None] + v[None, None, :])
                       * dif.tau_scaled)
-        src = GridderPlan((dif.band.quad_points - dif.center) * dif.scale, dif.modes, dif.eps)
-        spec = src.type1(dif.band.quad_weights[:, None] * values)
-        out = dif._tgt_plan.type2(spec * damp[..., None]).real
+        src = (dif.band.quad_points - dif.center) * dif.scale
+        tgt = (dif.band.closest_points - dif.center) * dif.scale
+        out = 0.0
+        for s in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+            spec = GridderPlan(src * s, dif.modes, dif.eps).type1(
+                dif.band.quad_weights[:, None] * values)
+            out = out + GridderPlan(tgt * s, dif.modes, dif.eps).type2(
+                spec * damp[..., None]).real / 4.0
         return out * dif.band.n_q * (dif.modes.h / (2.0 * np.pi)) ** 3
 
     def test_apply_matches_complex_reference(self, desk):
@@ -418,15 +428,13 @@ class TestFusedHeatStep:
         assert abs(dif._kappa - ref) <= 1e-14 * ref
 
     def test_axis_multiplier_cut_to_kept_modes(self, desk):
-        # mu is cut one-sidedly to [-M, M-1]; the mirror weight of the lone -M
-        # row comes from the real part of the filtered spread, not from mu
+        # mu lives on the half spectrum k = 0..n_over/2 and is cut after k = M,
+        # where the +-M pair shares the lone -M mode's weight
         _, dif = desk
         n, m = dif._tgt_plan.n_over, dif.modes.m_half
-        k = np.fft.fftfreq(n, 1.0 / n)
-        kept = (k >= -m) & (k < m)
-        assert dif._mu.shape == (n,) and dif._mu.dtype == np.float64
-        assert np.all(dif._mu[~kept] == 0.0) and np.all(dif._mu[kept] > 0.0)
-        assert dif._mu[n - m] > 0.0 and dif._mu[m] == 0.0
+        assert dif._mu.shape == (n // 2 + 1,) and dif._mu.dtype == np.float64
+        assert np.all(dif._mu[:m + 1] > 0.0) and np.all(dif._mu[m + 1:] == 0.0)
+        assert all(s.dtype == np.float64 for s in dif._spreader._axes)
 
     def test_no_fft_one_lattice_spread_and_one_block_set(
             self, sphere_diffuser, sphere_band, monkeypatch):
@@ -441,7 +449,7 @@ class TestFusedHeatStep:
             monkeypatch.setattr(owner, name, counted)
 
         for module in (scipy.fft, np.fft):
-            for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
+            for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
                 count(module, name, f"{module.__name__}.{name}")
         count(GridderPlan, "_blocks", "blocks")
         count(LatticeSpreader, "spread", "lattice")

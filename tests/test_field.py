@@ -40,6 +40,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((4, 4))
 
+    @pytest.mark.parametrize("extent", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0)])
+    def test_non_finite_or_non_positive_extent_rejected(self, extent):
+        with pytest.raises(ValueError, match="extents must be finite and positive"):
+            GridSpec((8, 8), extent)
+
     def test_coords_centered(self):
         g = GridSpec((16, 16))
         c = g.axis_coords(0)

@@ -355,17 +355,22 @@ def wrapping_lattice():
     return np.concatenate([pts, pts[[5, 5, 17]]])
 
 
-def assert_filtered_matches_fft(pts, modes, tol, ncols):
+def assert_filtered_matches_fft(pts, modes, tol, ncols, half=None, seed=1):
+    """filtered(half) against the FFT of the spread with the even multiplier
+    mu(k) = half[|k|]; by default half is 1 below M, 1/2 at M and 0 above,
+    shaped by a non-monotone factor."""
     n, m = 4 * modes.m_half, modes.m_half
-    k = np.fft.fftfreq(n, 1.0 / n)
-    # not even, and cut one-sidedly to [-M, M-1]: zero at +M, nonzero at -M
-    mu = np.exp(-0.02 * k * k) * (1.0 + 0.5 * np.sin(k)) * ((k >= -m) & (k < m))
-    cols = np.random.default_rng(1).standard_normal((len(pts), ncols))
+    if half is None:
+        k = np.arange(n // 2 + 1)
+        half = (np.exp(-0.02 * k * k) * (1.0 + 0.5 * np.sin(k))
+                * np.where(k < m, 1.0, 0.5 * (k == m)))
+    mu = half[np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)]
+    cols = np.random.default_rng(seed).standard_normal((len(pts), ncols))
     lattice = LatticeSpreader(pts, modes, tol)
     mult = (mu[:, None, None] * mu[None, :, None] * mu[None, None, :])[..., None]
     want = np.fft.ifftn(mult * np.fft.fftn(lattice.spread(cols), axes=(0, 1, 2)),
                         axes=(0, 1, 2)).real
-    got = lattice.filtered(mu).spread(cols)
+    got = lattice.filtered(half).spread(cols)
     assert got.shape == want.shape and got.dtype == np.float64
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -417,13 +422,22 @@ class TestLatticeSpreader:
                                   min_size=-(-len(sites) // 8), max_size=2 * len(sites)))
         modes = ModeGrid(h=1.0, m_half=data.draw(st.integers(2, 8)))
         tol = 10.0 ** data.draw(st.floats(-9.0, -3.0))
-        assert_lattice_matches_gridder(sites[keep], modes, tol, data.draw(st.integers(1, 4)),
-                                       seed=data.draw(st.integers(0, 2**32 - 1)))
+        ncols, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**32 - 1))
+        assert_lattice_matches_gridder(sites[keep], modes, tol, ncols, seed=seed)
+        half = np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * modes.m_half + 1)
+        assert_filtered_matches_fft(sites[keep], modes, tol, ncols, half=half, seed=seed)
 
     def test_scattered_cloud_rejected(self, case):
         modes, pts, _ = case
         with pytest.raises(ValueError, match="exceeds 8 sites per point") as info:
             LatticeSpreader(pts, modes, 1e-6)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("length", [8, 10, 16])
+    def test_multiplier_off_the_half_spectrum_rejected(self, length):
+        lattice = LatticeSpreader(np.zeros((2, 3)), ModeGrid(h=1.0, m_half=4), 1e-6)
+        with pytest.raises(ValueError, match="n_over/2 \\+ 1 = 9") as info:
+            lattice.filtered(np.ones(length))
         assert "\n" not in str(info.value)
 
     def test_column_count_mismatch_rejected(self):
