@@ -152,7 +152,7 @@ def _build_run(cfg: dict):
         total = initial.total_measure
         if not 0.0 < volume_target < total:
             raise ConfigurationError(
-                f"run.volume_target {volume_target:g} outside (0, {total:g}), "
+                f"run.volume_target {volume_target!r} outside (0, {total!r}), "
                 f"the total measure of the domain")
     mbo_cfg = MboConfig(backend=backend, max_iters=max_iters, stop_tol=stop_tol,
                         volume_target=volume_target, snapshot_every=snapshot_every)

@@ -6,7 +6,7 @@ the free-space Gaussian against the extension with per-cell quadrature, and
 evaluate the result back on the surface.  The Gaussian tail outside the band
 is controlled by
 
-    T(x) = (2x/sqrt(pi)) exp(-x^2) + (1 - erf(x)),    T(w_b / (2 sqrt(tau))) <= eps,
+    T(x) = (2x/sqrt(pi)) exp(-x^2) + (1 - erf(x)),    T(w_b / (2 sqrt(tau))) ~= eps,
 
 and the Fourier-space evaluation uses the 1D kernel expansion
 
@@ -34,7 +34,7 @@ from scipy.special import erfc
 
 from .errors import ConfigurationError
 from .field import MatrixField
-from .nufft import GridderPlan, LatticeSpreader, ModeGrid
+from .nufft import TOL_MAX, TOL_MIN, GridderPlan, LatticeSpreader, ModeGrid
 
 __all__ = [
     "tail_T",
@@ -70,9 +70,9 @@ def band_width(tau: float, eps: float) -> float:
     """Band half-width w_b whose Gaussian tail is eps.
 
     Solves the dominant term (2x/sqrt(pi)) exp(-x^2) = eps for x = w_b/(2
-    sqrt(tau)), matching the reference width table; the omitted erfc term
-    adds at most ~3.5% to the achieved tail in the ranges of interest, so
-    T(w_b/(2 sqrt(tau))) <= 1.05 eps always holds for the returned width.
+    sqrt(tau)), matching the reference width table.  The omitted erfc term
+    leaves the full tail T(w_b/(2 sqrt(tau))) above eps (by ~6% at eps =
+    1e-3); SurfaceDiffuser accepts any band at least this wide.
     """
     if not 0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
@@ -304,6 +304,9 @@ class BandSpec:
     eps: float = 1e-6
 
     def __post_init__(self):
+        if not TOL_MIN <= self.eps <= TOL_MAX:   # first: eps also sets the default w_b
+            raise ConfigurationError(
+                f"eps must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {self.eps!r}")
         for name, value in (("dx", self.dx), ("w_b", self.w_b)):
             if not 0 < value < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
@@ -312,8 +315,6 @@ class BandSpec:
                 f"band width {self.w_b:g} below grid spacing {self.dx:g}: empty band")
         if self.p < 1:
             raise ConfigurationError("quadrature order p must be >= 1")
-        if not 0.0 < self.eps < 0.5:
-            raise ConfigurationError("eps must lie in (0, 0.5)")
 
 
 def _gc_nodes_weights(p: int):
@@ -331,7 +332,8 @@ def _gc_nodes_weights(p: int):
 
 
 class BandSet:
-    """Retained band cells with quadrature points, weights, and closest points."""
+    """Retained band cells with quadrature points, weights, closest points, and the
+    surface-measure weights, fixed here: surface.area() may integrate a profile."""
 
     def __init__(self, surface, spec, grid_points, grid_distances,
                  quad_points, quad_weights, closest_points):
@@ -342,15 +344,16 @@ class BandSet:
         self.quad_points = quad_points
         self.quad_weights = quad_weights
         self.closest_points = closest_points
+        self._surface_weights = quad_weights * (surface.area() / float(np.sum(quad_weights)))
+        self._surface_weights.flags.writeable = False
 
     @property
     def n_q(self) -> int:
         return len(self.quad_points)
 
     def surface_weights(self) -> np.ndarray:
-        """Per-point surface-measure weights (sum equals the surface area)."""
-        total = float(np.sum(self.quad_weights))
-        return self.quad_weights * (self.surface.area() / total)
+        """Per-point surface-measure weights (sum equals the surface area), read-only."""
+        return self._surface_weights
 
     def constant_field(self, n: int, matrix) -> MatrixField:
         data = np.broadcast_to(np.asarray(matrix, dtype=float),
@@ -425,21 +428,18 @@ class SurfaceDiffuser:
     one even factor per axis on the half spectrum, weighted 1 below M, 1/2 at
     M and 0 above: the step kernel is the tensor product of the real 1D
     expansions over -M..M-1 (the lone -M mode split evenly between +-M).
+    A band narrower than band_width(tau, eps) is refused (eps: the band's by default).
     """
 
     def __init__(self, band: BandSet, tau: float, eps: float | None = None):
-        if not 0 < tau < np.inf:
-            raise ValueError("tau must be positive and finite")
         eps = band.spec.eps if eps is None else eps
         self.band = band
         self.tau = tau
         self.eps = eps
-        # 1.05 slack covers widths from band_width(), whose dominant-term
-        # convention leaves the erfc part (<~3.5% of eps) outside the band
-        tail = tail_T(band.spec.w_b / (2.0 * np.sqrt(tau)))
-        if tail > 1.05 * eps:
-            raise ConfigurationError(
-                f"band too narrow for tau={tau:g}: tail {tail:.3e} > eps {eps:.3e}")
+        need = band_width(tau, eps)
+        if band.spec.w_b < need:
+            raise ConfigurationError(f"band too narrow for tau={tau:g}, eps={eps:g}: "
+                                     f"w_b {band.spec.w_b:.6g} < band_width {need:.6g}")
 
         pts = np.concatenate([band.quad_points, band.closest_points])
         lo, hi = pts.min(axis=0), pts.max(axis=0)

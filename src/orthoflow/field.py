@@ -10,6 +10,7 @@ winding indices), the iteration log, and the binary snapshot format.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
@@ -91,42 +92,49 @@ class GridSpec:
 
 
 class MatrixField:
-    """One n x n matrix per point, grid- or cloud-backed.
+    """One n x n matrix per point, grid- or cloud-backed, n = data.shape[-1].
 
     data shape is (*grid.sizes, n, n) for grids and (npoints, n, n) for
-    clouds.  Cloud fields carry points (npoints, 3) and weights (npoints,).
+    clouds.  weights is the one per-point integration weight array,
+    (npoints,): a read-only broadcast of the cell weight on a grid, the given
+    positive finite weights of a cloud, whose points are finite (npoints, 3).
+    The layout is checked once here; copy_with reuses it.
     """
 
-    def __init__(self, n, data, grid=None, points=None, weights=None):
-        self.n = int(n)
+    def __init__(self, data, grid=None, points=None, weights=None):
         self.data = np.asarray(data, dtype=float)
+        self.n = self.data.shape[-1] if self.data.ndim >= 2 else 0
         self.grid = grid
-        self.points = None if points is None else np.asarray(points, dtype=float)
-        self._weights = None if weights is None else np.asarray(weights, dtype=float)
         if self.data.shape[-2:] != (self.n, self.n):
             raise ValueError("data must end in (n, n) axes")
+        lead = self.data.shape[:-2]
         if grid is not None:
-            if self.data.shape[:-2] != grid.sizes:
+            if lead != grid.sizes:
                 raise ValueError("grid data shape does not match grid sizes")
-        else:
-            if self.points is None or self._weights is None:
-                raise ValueError("cloud fields need points and weights")
-            if self.data.ndim != 3 or len(self.points) != self.data.shape[0]:
-                raise ValueError("cloud data must be (npoints, n, n)")
-            if np.any(self._weights <= 0):
-                raise ValueError("cloud weights must be positive")
+            self.points = None
+            self.weights = np.broadcast_to(np.float64(grid.cell_weight), (self.npoints,))
+            return
+        if points is None or weights is None:
+            raise ValueError("cloud fields need points and weights")
+        self.points = np.asarray(points, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
+        if len(lead) != 1 or self.points.shape != lead + (3,) or self.weights.shape != lead:
+            raise ValueError("cloud data must be (npoints, n, n) with (npoints, 3) "
+                             "points and (npoints,) weights")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.weights).all()):
+            raise ValueError("non-finite cloud points or weights")
+        if np.any(self.weights <= 0):
+            raise ValueError("cloud weights must be positive")
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def grid_field(cls, grid: GridSpec, data) -> "MatrixField":
-        data = np.asarray(data, dtype=float)
-        return cls(n=data.shape[-1], data=data, grid=grid)
+        return cls(data, grid=grid)
 
     @classmethod
     def cloud_field(cls, points, weights, data) -> "MatrixField":
-        data = np.asarray(data, dtype=float)
-        return cls(n=data.shape[-1], data=data, points=points, weights=weights)
+        return cls(data, points=points, weights=weights)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -139,28 +147,22 @@ class MatrixField:
         return int(np.prod(self.data.shape[:-2]))
 
     @property
-    def weights(self) -> np.ndarray:
-        """Per-point integration weights, flattened to (npoints,)."""
-        if self.is_grid:
-            return np.full(self.npoints, self.grid.cell_weight)
-        return self._weights
-
-    @property
     def total_measure(self) -> float:
-        if self.is_grid:
-            m = 1.0
-            for e in self.grid.extent:
-                m *= e
-            return m
-        return float(np.sum(self._weights))
+        """Sum of the weights: the measure select_threshold's target lies in."""
+        return float(np.sum(self.weights))
 
     def flat(self) -> np.ndarray:
         """View of the data as (npoints, n, n)."""
         return self.data.reshape(-1, self.n, self.n)
 
     def copy_with(self, data) -> "MatrixField":
-        return MatrixField(self.n, data, grid=self.grid, points=self.points,
-                           weights=self._weights)
+        """The same layout (grid or points and weights) with new data of the same shape."""
+        data = np.asarray(data, dtype=float)
+        if data.shape != self.data.shape:
+            raise ValueError(f"copy_with data shape {data.shape} != {self.data.shape}")
+        new = copy.copy(self)
+        new.data = data
+        return new
 
     def dets(self) -> np.ndarray:
         return determinants(self.data)
@@ -391,7 +393,7 @@ def write_snapshot(f: MatrixField, path):
             fh.write(struct.pack(f"<{g.d}d", *g.extent))
         else:
             fh.write(struct.pack("<Q", f.npoints))
-            pw = np.concatenate([f.points, f._weights[:, None]], axis=1)
+            pw = np.concatenate([f.points, f.weights[:, None]], axis=1)
             fh.write(pw.astype("<f8").tobytes())
         fh.write(f.flat().astype("<f8").tobytes())
 
@@ -450,8 +452,6 @@ def _parse_snapshot(fh, size) -> MatrixField:
         if npts == 0:
             raise SnapshotFormatError("cloud with no points")
         pw = np.frombuffer(take(npts * 4 * 8, "points"), dtype="<f8").reshape(npts, 4)
-        if not np.all(np.isfinite(pw)):
-            raise SnapshotFormatError("non-finite cloud points or weights")
         data = np.frombuffer(take(npts * n * n * 8, "matrix data"), dtype="<f8")
         rest_is_empty()
         return MatrixField.cloud_field(

@@ -226,6 +226,20 @@ class TestFailureExitCodes:
         assert code == 1
         assert err.startswith("error: run.volume_target") and err.count("\n") == 1
 
+    def test_volume_target_at_grid_weight_sum_exit_one(self, tmp_path, capsys):
+        # on 14^2 the cell weights sum to 1 - 2^-52, below this target
+        cfg = write_config(tmp_path / "cfg.txt", """
+            scenario.name = torus_volume_star
+            grid.size = 14
+            run.max_iters = 3
+            run.volume_target = 0.9999999999999999
+        """)
+        code = cmd_run(cfg, out_dir=tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: run.volume_target") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("error", [NumericalHealthError])
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
         def failing_run(initial, cfg):
@@ -394,6 +408,20 @@ class TestNonFiniteRunParameters:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: snapshot_every must be >= 0 (0 writes no snapshots)\n"
         assert not (tmp_path / "o").exists()
+
+    def test_default_band_width_accepted_at_coarse_eps(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.txt", with_line(self.SPHERE, "surface.eps = 1e-3"))
+        code = cmd_run(cfg, out_dir=tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+
+    @pytest.mark.parametrize("value", ["0.1", "1e-13", "0.3"])   # 0.3: default w_b < dx
+    def test_eps_outside_plan_range_named(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path / "cfg.txt", with_line(self.SPHERE, f"surface.eps = {value}"))
+        code = cmd_run(cfg, out_dir=tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: eps must lie in [1e-12, 0.01], got {float(value)!r}\n"
 
     @pytest.mark.parametrize("key, value", [
         ("dx", "nan"), ("dx", "inf"), ("w_b", "nan"), ("w_b", "inf"), ("w_b", "-inf"),

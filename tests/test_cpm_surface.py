@@ -260,6 +260,15 @@ class TestBandSpec:
         with pytest.raises(ConfigurationError, match=f"^{name} must be"):
             BandSpec(**kwargs)
 
+    @pytest.mark.parametrize("eps", [0.1, 1e-13, 0.0, np.nan])
+    def test_eps_outside_plan_range_rejected(self, eps):
+        with pytest.raises(ConfigurationError, match=r"^eps must lie in \[1e-12, 0.01\], got "):
+            BandSpec(dx=0.2, w_b=0.6, p=1, eps=eps)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-2])
+    def test_eps_range_ends_accepted(self, eps):
+        assert BandSpec(dx=0.2, w_b=0.6, p=1, eps=eps).eps == eps
+
 
 class TestBuildBand:
     def test_cell_count_near_reference(self):
@@ -285,6 +294,14 @@ class TestBuildBand:
     def test_surface_weights_sum_to_area(self, sphere_band):
         total = sphere_band.surface_weights().sum()
         assert total == pytest.approx(4 * np.pi, rel=1e-6)
+
+    def test_surface_weights_fixed_at_build(self, peanut_desk, monkeypatch):
+        # the peanut's area integrates its profile: no call after the build
+        band, _ = peanut_desk
+        calls = []
+        monkeypatch.setattr(band.surface, "area", lambda: calls.append(1) or 1.0)
+        first, second = band.surface_weights(), band.surface_weights()
+        assert calls == [] and first is second and not first.flags.writeable
 
 
 class TestDiffuseSurface:
@@ -339,6 +356,15 @@ class TestDiffuseSurface:
     def test_band_too_narrow_for_tau(self, sphere_band):
         with pytest.raises(ConfigurationError):
             SurfaceDiffuser(sphere_band, tau=10.0 * TAU)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_band_width_is_the_narrowest_accepted(self, eps):
+        # desk sphere, dx = 0.3: band_width's own width passes, one ulp less fails
+        w = band_width(TAU, eps)
+        SurfaceDiffuser(build_band(Sphere(1.0), BandSpec(dx=0.3, w_b=w, p=1, eps=eps)), TAU)
+        narrow = build_band(Sphere(1.0), BandSpec(dx=0.3, w_b=np.nextafter(w, 0), p=1, eps=eps))
+        with pytest.raises(ConfigurationError, match="band too narrow"):
+            SurfaceDiffuser(narrow, TAU)
 
     def test_field_point_mismatch(self, sphere_diffuser, sphere_band):
         rng = np.random.default_rng(2)

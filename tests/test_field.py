@@ -157,6 +157,52 @@ class TestPlusRegionStats:
         assert abs(stats.area - 0.16) <= 2 * g.dx
 
 
+class TestLayout:
+    """One checked weights array per field; copy_with keeps the layout."""
+
+    @pytest.mark.parametrize("where", ["point", "weight"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cloud_rejected(self, where, value):
+        pts, w, data = small_cloud()
+        (pts[1] if where == "point" else w)[2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            MatrixField.cloud_field(pts, w, data)
+
+    @pytest.mark.parametrize("case", ["few_weights", "planar_points", "scalar_weight"])
+    def test_cloud_shapes_rejected(self, case):
+        pts, w, data = small_cloud(count=10)
+        if case == "few_weights":
+            w = w[:5]
+        elif case == "planar_points":
+            pts = pts[:, :2]
+        else:
+            w = 1.0
+        with pytest.raises(ValueError, match="cloud data must be"):
+            MatrixField.cloud_field(pts, w, data)
+
+    def test_grid_weights_stored_once(self):
+        g = torus_grid(16)
+        f = rotation_field(g, lambda x, y: x)
+        assert f.weights is f.weights and not f.weights.flags.writeable
+        assert f.weights.tobytes() == np.full(f.npoints, g.cell_weight).tobytes()
+
+    def test_copy_with_keeps_layout(self):
+        for f in (rotation_field(torus_grid(16), lambda x, y: x),
+                  MatrixField.cloud_field(*small_cloud())):
+            new = f.copy_with(2.0 * f.data)
+            assert new.grid is f.grid and new.points is f.points and new.weights is f.weights
+            np.testing.assert_array_equal(new.data, 2.0 * f.data)
+            with pytest.raises(ValueError, match="shape"):
+                f.copy_with(f.flat()[:-1])
+
+    @pytest.mark.parametrize("size", [14, 100, 128])
+    def test_total_measure_is_the_weight_sum(self, size):
+        f = rotation_field(torus_grid(size), lambda x, y: x)
+        assert f.total_measure == float(np.sum(f.weights))
+        c = MatrixField.cloud_field(*small_cloud())
+        assert c.total_measure == float(np.sum(c.weights))
+
+
 class TestEnergyLog:
     def test_round_trip(self, tmp_path):
         log = EnergyLog()
