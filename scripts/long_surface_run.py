@@ -40,7 +40,7 @@ def run_band(name: str, steps: int, seed: int) -> bool:
     rng = np.random.default_rng([seed, len(name)])
     initial = band.constant_field(3, np.eye(3))
     initial = initial.copy_with(random_o3(band.n_q, rng))
-    cfg = MboConfig(backend=SurfaceDiffuser(band, tau, EPS), max_iters=steps, stop_tol=0.0)
+    cfg = MboConfig(backend=SurfaceDiffuser(band, tau), max_iters=steps, stop_tol=0.0)
     t0 = time.process_time()
     result = mbo_run(initial, cfg)
     cpu = time.process_time() - t0

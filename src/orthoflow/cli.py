@@ -141,7 +141,7 @@ def _build_run(cfg: dict):
         w_b = _get(cfg, "surface.w_b", float, band_width(tau, eps))
         band = build_band(surface, BandSpec(dx=dx, w_b=w_b, p=p, eps=eps))
         spec = ScenarioSpec(name, band=band)
-        backend = SurfaceDiffuser(band, tau, eps)
+        backend = SurfaceDiffuser(band, tau)
 
     initial = build_initial(spec)
     volume_target = None

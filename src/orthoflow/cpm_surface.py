@@ -18,6 +18,7 @@ and a type-2 NUFFT; they run fused, for all n^2 matrix components at once:
 the kernel is the tensor product of the real 1D expansions, so its
 multiplier is folded at set-up into the real per-axis matrices of the
 separable band-lattice spread, and the gather follows, with no FFT per step.
+One accuracy, the band's eps in [1e-12, 0.01], sets w_b, M and the stencil width.
 
 Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
 step; the diffusion time rescales by the squared map factor.
@@ -34,7 +35,7 @@ from scipy.special import erfc
 
 from .errors import ConfigurationError
 from .field import MatrixField
-from .nufft import TOL_MAX, TOL_MIN, GridderPlan, LatticeSpreader, ModeGrid
+from .nufft import GridderPlan, LatticeSpreader, ModeGrid, check_tol
 
 __all__ = [
     "tail_T",
@@ -67,27 +68,22 @@ def tail_T(x: float) -> float:
 
 
 def band_width(tau: float, eps: float) -> float:
-    """Band half-width w_b whose Gaussian tail is eps.
+    """Band half-width w_b whose Gaussian tail is eps, for eps in [1e-12, 0.01].
 
     Solves the dominant term (2x/sqrt(pi)) exp(-x^2) = eps for x = w_b/(2
-    sqrt(tau)), matching the reference width table.  The omitted erfc term
-    leaves the full tail T(w_b/(2 sqrt(tau))) above eps (by ~6% at eps =
-    1e-3); SurfaceDiffuser accepts any band at least this wide.
+    sqrt(tau)) on [1/sqrt(2), 30], where it falls from its peak ~0.484, matching
+    the reference width table.  The omitted erfc term leaves the full tail T
+    above eps (by ~6% at eps = 1e-3); SurfaceDiffuser accepts any band at least
+    this wide.
     """
+    check_tol(eps, "eps")
     if not 0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 0.5)")
 
     def dominant(x):
         return (2.0 * x / np.sqrt(np.pi)) * np.exp(-x * x) - eps
 
-    # the dominant term rises to ~0.484 at x = 1/sqrt(2), then decays; for
-    # eps above that peak fall back to the full tail, which starts at 1
-    if dominant(1.0 / np.sqrt(2.0)) > 0:
-        z = brentq(dominant, 1.0 / np.sqrt(2.0), 30.0, xtol=1e-14, rtol=1e-14)
-    else:
-        z = brentq(lambda t: tail_T(t) - eps, 0.0, 30.0, xtol=1e-14, rtol=1e-14)
+    z = brentq(dominant, 1.0 / np.sqrt(2.0), 30.0, xtol=1e-14, rtol=1e-14)
     return float(2.0 * np.sqrt(tau) * z)
 
 
@@ -98,10 +94,9 @@ def spectral_grid(tau: float, eps: float, R: float) -> ModeGrid:
     sqrt(|ln(pi eps / (2 h sqrt(tau)))| / tau) / h.  The log is taken in
     absolute value (it is negative in the regimes of interest) and M is
     rounded up with a 0.2 guard so near-integer boundary values do not
-    inflate the mode count.
+    inflate the mode count.  eps must lie in [1e-12, 0.01].
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 0.5)")
+    check_tol(eps, "eps")
     if not (0 < tau < np.inf and 0 < R < np.inf):
         raise ValueError("tau and R must be positive and finite")
     log_eps = abs(np.log(eps))
@@ -304,9 +299,7 @@ class BandSpec:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if not TOL_MIN <= self.eps <= TOL_MAX:   # first: eps also sets the default w_b
-            raise ConfigurationError(
-                f"eps must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {self.eps!r}")
+        check_tol(self.eps, "eps")      # first: eps also sets the default w_b
         for name, value in (("dx", self.dx), ("w_b", self.w_b)):
             if not 0 < value < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
@@ -428,14 +421,16 @@ class SurfaceDiffuser:
     one even factor per axis on the half spectrum, weighted 1 below M, 1/2 at
     M and 0 above: the step kernel is the tensor product of the real 1D
     expansions over -M..M-1 (the lone -M mode split evenly between +-M).
-    A band narrower than band_width(tau, eps) is refused (eps: the band's by default).
+    eps is the band's, band.spec.eps; the optional third argument is accepted
+    only when it equals it.  A band narrower than band_width(tau, eps) is refused.
     """
 
     def __init__(self, band: BandSet, tau: float, eps: float | None = None):
-        eps = band.spec.eps if eps is None else eps
+        if eps is not None and eps != band.spec.eps:
+            raise ConfigurationError(f"eps {eps!r} is not the band's eps {band.spec.eps!r}")
         self.band = band
         self.tau = tau
-        self.eps = eps
+        self.eps = eps = band.spec.eps
         need = band_width(tau, eps)
         if band.spec.w_b < need:
             raise ConfigurationError(f"band too narrow for tau={tau:g}, eps={eps:g}: "

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .errors import ConfigurationError
+
 __all__ = [
     "ModeGrid",
     "nufft_type1",
@@ -87,9 +89,11 @@ def _check_points(points) -> np.ndarray:
     return points
 
 
-def _check_tol(tol: float) -> float:
+def check_tol(tol: float, name: str = "tol") -> float:
+    """The one accuracy range [TOL_MIN, TOL_MAX]: the plans' tol and a band's eps."""
     if not TOL_MIN <= tol <= TOL_MAX:
-        raise ValueError(f"tol must be in [{TOL_MIN:g}, {TOL_MAX:g}]")
+        raise ConfigurationError(
+            f"{name} must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {tol!r}")
     return float(tol)
 
 
@@ -97,8 +101,8 @@ def es_width(tol: float) -> int:
     """Per-axis stencil width w of the ES kernel for a target tolerance.
 
     Empirical rule w = ceil(log10(1/tol)) + 3, held against direct sums by
-    the accuracy tests for tol in [1e-12, 1e-3]; the small guard keeps exact
-    powers of ten from rounding up a point.
+    the accuracy tests over the whole accepted range [1e-12, 1e-2]; the small
+    guard keeps exact powers of ten from rounding up a point.
     """
     return int(np.ceil(-np.log10(tol) - 1e-9)) + 3
 
@@ -149,7 +153,7 @@ class GridderPlan:
     def __init__(self, points, modes: ModeGrid, tol: float):
         points = _check_points(points)
         self.modes = modes
-        self.tol = _check_tol(tol)
+        self.tol = check_tol(tol)
         self.npts = points.shape[0]
 
         m = modes.m_half
@@ -264,7 +268,7 @@ class LatticeSpreader:
     def __init__(self, points, modes: ModeGrid, tol: float):
         points = _check_points(points)
         self.npts, self.n_over = points.shape[0], 4 * modes.m_half
-        kdim = es_width(_check_tol(tol))
+        kdim = es_width(check_tol(tol))
         axes = [np.unique(points[:, a], return_inverse=True) for a in range(3)]
         self.shape = tuple(len(u) for u, _ in axes)
         if np.prod(self.shape, dtype=float) > 8 * self.npts:

@@ -415,7 +415,9 @@ class TestNonFiniteRunParameters:
         captured = capsys.readouterr()
         assert code == 2 and captured.err == ""
 
-    @pytest.mark.parametrize("value", ["0.1", "1e-13", "0.3"])   # 0.3: default w_b < dx
+    # 0.3: default w_b < dx; every value reaches band_width (the default w_b) before BandSpec
+    @pytest.mark.parametrize("value", ["0.1", "1e-13", "0.3", "0.7", "0.5", "nan", "inf", "-1",
+                                       "0"])
     def test_eps_outside_plan_range_named(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path / "cfg.txt", with_line(self.SPHERE, f"surface.eps = {value}"))
         code = cmd_run(cfg, out_dir=tmp_path / "o")

@@ -91,6 +91,15 @@ class TestBandWidth:
         with pytest.raises(ValueError):
             band_width(0.01, 0.7)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-12.0, -2.0), st.floats(-4.0, 0.0))
+    def test_full_tail_within_ten_percent_above_eps(self, log_eps, log_tau):
+        # the one dominant-term solve over the whole accepted eps domain: the
+        # full tail T at the returned width lies in [eps, 1.1 eps]
+        eps, tau = 10.0**log_eps, 10.0**log_tau
+        tail = tail_T(band_width(tau, eps) / (2.0 * np.sqrt(tau)))
+        assert eps <= tail <= 1.1 * eps
+
 
 class TestSpectralGrid:
     @pytest.mark.parametrize("tau,eps,want", [
@@ -137,6 +146,17 @@ class TestSpectralGrid:
         for bad in [(0.0, 1e-6, np.pi), (1e-2, 0.9, np.pi), (1e-2, 1e-6, 0.0)]:
             with pytest.raises(ValueError):
                 spectral_grid(*bad)
+
+
+@pytest.mark.parametrize("eps", [0.7, 0.5, 0.49, 0.0100001, 1e-13, 0.0, -1.0, np.nan, np.inf])
+def test_eps_outside_range_one_message(eps):
+    # band_width, spectral_grid and BandSpec share the plans' range check and its message
+    want = f"eps must lie in [1e-12, 0.01], got {eps!r}"
+    for call in (lambda: band_width(0.05, eps), lambda: spectral_grid(0.05, eps, np.pi),
+                 lambda: BandSpec(dx=0.2, w_b=0.6, p=1, eps=eps)):
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        assert str(info.value) == want
 
 
 def closest(surface, x):
@@ -365,6 +385,12 @@ class TestDiffuseSurface:
         narrow = build_band(Sphere(1.0), BandSpec(dx=0.3, w_b=np.nextafter(w, 0), p=1, eps=eps))
         with pytest.raises(ConfigurationError, match="band too narrow"):
             SurfaceDiffuser(narrow, TAU)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9, 0.7, np.nan])
+    def test_eps_other_than_the_band_s_rejected(self, sphere_band, eps):
+        # the diffuser's eps is its band's (the sphere_diffuser fixture passes it)
+        with pytest.raises(ConfigurationError, match="is not the band's eps 1e-06$"):
+            SurfaceDiffuser(sphere_band, TAU, eps)
 
     def test_field_point_mismatch(self, sphere_diffuser, sphere_band):
         rng = np.random.default_rng(2)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser, band_width,
                                     build_band, peanut_surface)
 from orthoflow import nufft
+from orthoflow.errors import ConfigurationError
 from orthoflow.nufft import (GridderPlan, LatticeSpreader, ModeGrid, direct_type1,
                              direct_type2, es_width, nufft_type1, nufft_type2)
 
@@ -142,6 +143,19 @@ class TestValidation:
         for tol in (1e-13, 0.5):
             with pytest.raises(ValueError):
                 nufft_type1(pts, np.ones(1), modes, tol)
+
+    @pytest.mark.parametrize("plan", [GridderPlan, LatticeSpreader])
+    @pytest.mark.parametrize("tol", [0.7, 0.5, 0.0100001, 1e-13, 0.0, -1.0, np.nan, np.inf])
+    def test_tol_outside_range_one_message(self, plan, tol):
+        # the plans share one range check with every eps: ConfigurationError, one message
+        with pytest.raises(ConfigurationError) as info:
+            plan(np.zeros((1, 3)), ModeGrid(h=1.0, m_half=4), tol)
+        assert str(info.value) == f"tol must lie in [1e-12, 0.01], got {tol!r}"
+
+    @pytest.mark.parametrize("plan", [GridderPlan, LatticeSpreader])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-2])
+    def test_tol_range_ends_accepted(self, plan, tol):
+        plan(np.zeros((1, 3)), ModeGrid(h=1.0, m_half=4), tol)
 
     def test_mode_grid_validation(self):
         with pytest.raises(ValueError):
@@ -304,7 +318,7 @@ def nufft_cases(draw):
     """Small point sets mixing random points with the hard cases: the
     origin, the corner -pi and exact nodes of the oversampled grid."""
     m_half = draw(st.integers(2, 8))
-    tol = 10.0 ** draw(st.floats(-9.0, -3.0))
+    tol = 10.0 ** draw(st.floats(-12.0, -2.0))     # the plans' whole accepted range
     n_over = 4 * m_half
     node = st.integers(0, n_over - 1).map(lambda j: -np.pi + 2 * np.pi * j / n_over)
     coord = st.one_of(node, st.floats(-np.pi, np.pi, exclude_max=True))
@@ -315,7 +329,8 @@ def nufft_cases(draw):
 
 
 class TestAccuracyProperty:
-    """The width rule holds against direct sums, hard points included."""
+    """The width rule holds against direct sums over the whole accepted tol
+    range, hard points included."""
 
     @settings(max_examples=60, deadline=None)
     @given(nufft_cases())
