@@ -9,10 +9,9 @@ and a built-in Lyapunov-energy monitor.
 from .cpm_surface import (BandSet, BandSpec, CallableSurface, Sphere, Surface,
                           SurfaceDiffuser, SurfaceOfRevolution, band_width,
                           build_band, peanut_surface, spectral_grid, tail_T)
-from .errors import ConfigurationError, SnapshotFormatError, UnderResolvedError
-from .field import (EnergyLog, GridSpec, MatrixField, interface_cells,
-                    plus_region_stats, plus_volume, read_snapshot,
-                    winding_pair, write_snapshot)
+from .errors import ConfigurationError, SnapshotFormatError
+from .field import (EnergyLog, FieldReport, GridSpec, MatrixField, field_report,
+                    plus_volume, read_snapshot, write_snapshot)
 from .matgeom import determinants, projection_factors
 from .mbo import (Diffuser, MboConfig, RunResult, lyapunov_energy, mbo_run,
                   mbo_step, select_threshold)

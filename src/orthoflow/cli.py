@@ -12,10 +12,11 @@ energy of the final field: it costs one more diffusion after the loop.
 Exit codes:
 
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
-            key outside the schema, a repeated key, a non-finite tau,
-            stop_tol, surface.dx or surface.w_b and a volume target outside
-            (0, total measure)), set-up arrays beyond memory or an unwritable
-            output file, 4 numerical failure during the run (NumericalHealthError);
+            key outside the schema or of the other scenario family, a
+            repeated key, a non-finite tau, stop_tol, surface.dx or
+            surface.w_b and a volume target outside (0, total measure)),
+            set-up arrays beyond memory or an unwritable output file,
+            4 numerical failure during the run (NumericalHealthError);
             errors print one line on stderr
     tables  0 all entries match, 3 mismatches
     check   0 valid, 1 malformed or non-orthogonal snapshot
@@ -30,10 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .cpm_surface import BandSpec, SurfaceDiffuser, band_width, build_band, spectral_grid
-from .errors import (ConfigurationError, NumericalHealthError, SnapshotFormatError,
-                     UnderResolvedError)
-from .field import (GridSpec, _interface_cells, _plus_region_stats, _plus_volume,
-                    _winding_pair, plus_volume, read_snapshot, write_snapshot)
+from .errors import ConfigurationError, NumericalHealthError, SnapshotFormatError
+from .field import GridSpec, field_report, plus_volume, read_snapshot, write_snapshot
 from .mbo import MboConfig, lyapunov_energy, mbo_run
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, build_initial, builtin_surface
 from .torus_heat import TorusDiffuser
@@ -66,6 +65,10 @@ CONFIG_KEYS = frozenset(
     "scenario.name scenario.disk_radius scenario.winding_index grid.size run.tau "
     "run.max_iters run.stop_tol run.volume_target surface.name surface.dx surface.p "
     "surface.eps surface.w_b output.snapshot_every output.dir".split())
+# the keys of one scenario family (torus_*, or the surface scenarios); the
+# other family's scenarios reject them
+TORUS_KEYS = frozenset("scenario.disk_radius scenario.winding_index grid.size".split())
+SURFACE_KEYS = frozenset(k for k in CONFIG_KEYS if k.startswith("surface."))
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +120,16 @@ def _build_run(cfg: dict):
     if name not in SCENARIO_NAMES:
         raise ConfigurationError(
             f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    torus = name.startswith("torus")
+    foreign = sorted(set(cfg) & (SURFACE_KEYS if torus else TORUS_KEYS))
+    if foreign:
+        raise ConfigurationError(f"config key {', '.join(map(repr, foreign))} "
+                                 f"does not apply to scenario {name!r}")
     max_iters = _get(cfg, "run.max_iters", int, 10_000)
     stop_tol = _get(cfg, "run.stop_tol", float, 1e-8)
     snapshot_every = _get(cfg, "output.snapshot_every", int, 10)
 
-    if name.startswith("torus"):
+    if torus:
         size = _get(cfg, "grid.size", int, 256)
         grid = GridSpec((size, size))
         tau = _get(cfg, "run.tau", float, 8.0 * grid.dx)
@@ -257,32 +265,24 @@ def cmd_check(snapshot_path, out=None) -> int:
     out = out or sys.stdout
     try:
         f = read_snapshot(snapshot_path)
-        defect = f.require_orthogonal()
+        r = field_report(f)
     except (SnapshotFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # one orthogonality check and one determinant pass feed every diagnostic
-    kind = "grid" if f.is_grid else "cloud"
-    dets = f.dets()
-    print(f"flavor={kind} n={f.n} points={f.npoints}", file=out)
-    print(f"orthogonality_defect={defect:.3e} "
-          f"det_min={dets.min():.12f} det_max={dets.max():.12f}", file=out)
-    print(f"plus_volume={_plus_volume(f, dets):.6f} of total {f.total_measure:.6f}",
-          file=out)
-    if f.is_grid and f.grid.d == 2:
-        cells = _interface_cells(dets)
-        print(f"interface_cells={len(cells)}", file=out)
-        stats = _plus_region_stats(f, dets)
-        ratio = "undefined" if stats.isoperimetric_ratio is None \
-            else f"{stats.isoperimetric_ratio:.4f}"
-        print(f"area={stats.area:.6f} perimeter={stats.perimeter_estimate:.6f} "
+    print(f"flavor={'grid' if f.is_grid else 'cloud'} n={f.n} points={f.npoints}", file=out)
+    print(f"orthogonality_defect={r.defect:.3e} "
+          f"det_min={r.det_min:.12f} det_max={r.det_max:.12f}", file=out)
+    print(f"plus_volume={r.plus_volume:.6f} of total {r.total_measure:.6f}", file=out)
+    if r.interface_cells is not None:
+        ratio = ("undefined" if r.isoperimetric_ratio is None
+                 else f"{r.isoperimetric_ratio:.4f}")
+        print(f"interface_cells={len(r.interface_cells)}", file=out)
+        print(f"area={r.plus_volume:.6f} perimeter={r.perimeter:.6f} "
               f"isoperimetric_ratio={ratio}", file=out)
-        if f.n == 2:
-            try:
-                ix, iy = _winding_pair(f)
-                print(f"winding=({ix},{iy})", file=out)
-            except UnderResolvedError as exc:
-                print(f"winding=under-resolved ({exc})", file=out)
+    if isinstance(r.winding, tuple):
+        print(f"winding=({r.winding[0]},{r.winding[1]})", file=out)
+    elif r.winding is not None:
+        print(f"winding=under-resolved ({r.winding})", file=out)
     return 0
 
 

@@ -26,6 +26,7 @@ step; the diffusion time rescales by the squared map factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,6 +369,10 @@ def build_band(surface: Surface, spec: BandSpec) -> BandSet:
     hi = hi + (w_b + 2 * dx)
     axes = [np.arange(np.floor(l / dx), np.ceil(h / dx) + 1) * dx
             for l, h in zip(lo, hi)]
+    # held at once while the distances are taken, 3 doubles per point each: the
+    # mesh arrays, the stacked points, their closest points, the difference
+    # and its square; and the distances
+    _require_memory("the band's bounding-box mesh", math.prod(len(a) for a in axes), 16)
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_points = np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -379,6 +384,8 @@ def build_band(surface: Surface, spec: BandSpec) -> BandSet:
     grid_points = grid_points[keep]
     dists = dists[keep]
 
+    # the quadrature points, their closest points (3 doubles each), the weights
+    _require_memory("the band's quadrature", len(grid_points) * p**3, 7)
     nodes, wts = _gc_nodes_weights(p)
     offs = (nodes + 1.0) * (dx / 2.0)          # p offsets in (0, dx)
     w1 = wts * (dx / 2.0)                       # per-axis weights, sum dx
@@ -396,6 +403,26 @@ def build_band(surface: Surface, spec: BandSpec) -> BandSet:
 
 
 _CLOSEST_CHUNK = 262144    # points per surface.closest call
+
+
+def _available_memory() -> float:
+    """Bytes the machine reports as available (MemAvailable); inf where unknown."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return 1024.0 * int(line.split()[1])
+    except OSError:
+        pass
+    return math.inf
+
+
+def _require_memory(what: str, npoints: int, doubles: int):
+    """MemoryError unless npoints x doubles float64 values fit in available memory."""
+    need, available = 8 * doubles * npoints, _available_memory()
+    if need > available:
+        raise MemoryError(f"{what} of {npoints} points needs at least {need / 2**30:.3g} GiB, "
+                          f"more than the {available / 2**30:.3g} GiB available")
 
 
 def _chunked_closest(surface, points):

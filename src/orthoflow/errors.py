@@ -1,10 +1,6 @@
 """Exception types shared across the solver modules."""
 
 
-class UnderResolvedError(ValueError):
-    """A winding measurement hit an angle step >= pi/2 between samples."""
-
-
 class ConfigurationError(ValueError):
     """A run/band/scenario configuration is inconsistent or out of range."""
 

@@ -4,8 +4,10 @@ A field stores one n x n matrix per sample point.  Grid-backed fields live on
 a uniform periodic lattice (flat torus, cell weight dx^d); cloud-backed fields
 live on a list of 3D points with per-point surface-measure weights.
 
-Also here: the determinant-sign diagnostics (plus volume, interface cells,
-winding indices), the iteration log, and the binary snapshot format.
+Also here: the determinant-sign diagnostics (plus_volume alone, or every one
+from a single check and determinant pass in field_report: plus volume,
+interface cells, perimeter, isoperimetric ratio, winding pair), the iteration
+log, and the binary snapshot format.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import SnapshotFormatError, UnderResolvedError
+from .errors import SnapshotFormatError
 from .matgeom import determinants
 
 __all__ = [
@@ -28,11 +30,9 @@ __all__ = [
     "MatrixField",
     "EnergyLog",
     "EnergyRow",
-    "PlusRegionStats",
+    "FieldReport",
+    "field_report",
     "plus_volume",
-    "winding_pair",
-    "interface_cells",
-    "plus_region_stats",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -205,113 +205,81 @@ class MatrixField:
 
 # ---------------------------------------------------------------------------
 # Determinant-sign diagnostics
-#
-# Each public function checks that its field is orthogonal and computes the
-# determinants; the private cores take determinants already computed from a
-# checked field, so a caller that reports several diagnostics does both once.
 # ---------------------------------------------------------------------------
 
 def plus_volume(f: MatrixField) -> float:
     """Measure of the region where det A > 0 (weights of plus points)."""
     f.require_orthogonal()
-    return _plus_volume(f, f.dets())
-
-
-def _plus_volume(f: MatrixField, det: np.ndarray) -> float:
-    return float(np.sum(f.weights[det.reshape(-1) > 0]))
-
-
-def winding_pair(f: MatrixField) -> tuple[int, int]:
-    """Winding indices of the first column vector along the two center loops.
-
-    i_x follows the grid row y = 0, i_y the column x = 0 (the loops through
-    the domain center), accumulating principal-branch angle increments of
-    v = (A_00, A_10).  Every single step must turn by less than pi/2,
-    otherwise the field is declared under-resolved.
-    """
-    if not f.is_grid or f.grid.d != 2 or f.n != 2:
-        raise ValueError("winding_pair needs a 2x2 field on a 2D grid")
-    f.require_orthogonal()
-    return _winding_pair(f)
-
-
-def _winding_pair(f: MatrixField) -> tuple[int, int]:
-    center = tuple(s // 2 for s in f.grid.sizes)
-    out = []
-    for axis in range(2):
-        if axis == 0:
-            v = f.data[:, center[1], :, 0]
-        else:
-            v = f.data[center[0], :, :, 0]
-        theta = np.arctan2(v[:, 1], v[:, 0])
-        d = np.diff(np.concatenate([theta, theta[:1]]))
-        d = (d + np.pi) % (2.0 * np.pi) - np.pi
-        step = float(np.abs(d).max())
-        if step >= np.pi / 2:
-            raise UnderResolvedError(
-                f"angle step {step:.3f} >= pi/2 along axis {axis}")
-        out.append(int(round(d.sum() / (2.0 * np.pi))))
-    return out[0], out[1]
-
-
-def _sign_changes(det: np.ndarray):
-    """Boolean masks of +axis sign changes (periodic wrap), one per axis."""
-    s = det > 0
-    return [s != np.roll(s, -1, axis=a) for a in range(det.ndim)]
-
-
-def interface_cells(f: MatrixField) -> np.ndarray:
-    """Grid cells where det changes sign across any +axis neighbor.
-
-    Returns an (ncells, d) integer array of cell indices.  Empty iff the
-    determinant has constant sign.
-    """
-    if not f.is_grid:
-        raise ValueError("interface_cells needs a grid field")
-    f.require_orthogonal()
-    return _interface_cells(f.dets())
-
-
-def _interface_cells(det: np.ndarray) -> np.ndarray:
-    changed = np.zeros(det.shape, dtype=bool)
-    for mask in _sign_changes(det):
-        changed |= mask
-    return np.argwhere(changed)
+    return float(np.sum(f.weights[f.dets().reshape(-1) > 0]))
 
 
 @dataclass(frozen=True)
-class PlusRegionStats:
-    area: float
-    perimeter_estimate: float
-    isoperimetric_ratio: float | None  # None when area or perimeter vanish
+class FieldReport:
+    """Every determinant-sign diagnostic of one checked field.
 
-
-def plus_region_stats(f: MatrixField) -> PlusRegionStats:
-    """Area, perimeter estimate, and isoperimetric ratio of the plus region.
-
-    The perimeter uses the Cauchy-Crofton line-intercept count
-    (pi/4) (N_0 h_1 + N_1 h_0), where N_a counts the +axis sign-change
-    crossings along axis a and each crossing is weighted by the spacing h of
-    the other axis.  First-order, no sub-cell reconstruction; calibrated so
-    digital circles score ratio ~= 1.
-    An empty or full plus region has no interface and the ratio is signalled
-    as None.
+    interface_cells, perimeter and isoperimetric_ratio are None off 2-D
+    grids; winding is None off 2-D grids with n = 2.
     """
+
+    defect: float
+    det_min: float
+    det_max: float
+    plus_volume: float
+    total_measure: float
+    interface_cells: np.ndarray | None = None   # (ncells, 2) cell indices
+    perimeter: float | None = None
+    isoperimetric_ratio: float | None = None    # also None when area or perimeter vanish
+    winding: tuple[int, int] | str | None = None   # the pair, or why it is under-resolved
+
+
+def field_report(f: MatrixField) -> FieldReport:
+    """Check f once (ValueError unless orthogonal), take its determinants once,
+    and report every diagnostic.
+
+    On a 2-D grid the interface cells are the cells whose det changes sign
+    across a +axis neighbor (periodic wrap); the list is empty iff det has one
+    sign.  The perimeter is the Cauchy-Crofton line-intercept count
+    (pi/4) (N_0 h_1 + N_1 h_0), where N_a counts the sign changes along axis a
+    and each is weighted by the spacing h of the other axis: first-order, no
+    sub-cell reconstruction, calibrated so digital circles score ratio ~= 1.
+
+    With n = 2 the winding pair (i_x, i_y) follows the first column
+    v = (A_00, A_10) along the grid row y = 0 and the column x = 0 (the loops
+    through the domain center), accumulating principal-branch angle
+    increments.  A step of pi/2 or more leaves the loop under-resolved, and
+    winding then holds the reason instead of the pair.
+    """
+    defect = f.require_orthogonal()
+    det = f.dets()
+    plus = float(np.sum(f.weights[det.reshape(-1) > 0]))
+    common = dict(defect=defect, det_min=float(det.min()), det_max=float(det.max()),
+                  plus_volume=plus, total_measure=f.total_measure)
     if not f.is_grid or f.grid.d != 2:
-        raise ValueError("plus_region_stats needs a 2D grid field")
-    f.require_orthogonal()
-    return _plus_region_stats(f, f.dets())
-
-
-def _plus_region_stats(f: MatrixField, det: np.ndarray) -> PlusRegionStats:
-    area = _plus_volume(f, det)
-    n0, n1 = (int(np.count_nonzero(m)) for m in _sign_changes(det))
+        return FieldReport(**common)
+    s = det > 0
+    changes = [s != np.roll(s, -1, axis=a) for a in range(2)]
+    n0, n1 = (int(np.count_nonzero(m)) for m in changes)
     h0, h1 = f.grid.spacing
     perimeter = (np.pi / 4.0) * (n0 * h1 + n1 * h0)
-    if area <= 0.0 or perimeter <= 0.0:
-        return PlusRegionStats(area, perimeter, None)
-    ratio = perimeter**2 / (4.0 * np.pi * area)
-    return PlusRegionStats(area, perimeter, float(ratio))
+    ratio = (None if plus <= 0.0 or perimeter <= 0.0
+             else float(perimeter**2 / (4.0 * np.pi * plus)))
+    winding = None
+    if f.n == 2:
+        c0, c1 = (size // 2 for size in f.grid.sizes)
+        pair = []
+        for axis, v in enumerate((f.data[:, c1, :, 0], f.data[c0, :, :, 0])):
+            theta = np.arctan2(v[:, 1], v[:, 0])
+            d = np.diff(theta, append=theta[:1])
+            d = (d + np.pi) % (2.0 * np.pi) - np.pi
+            step = float(np.abs(d).max())
+            if step >= np.pi / 2:
+                winding = f"angle step {step:.3f} >= pi/2 along axis {axis}"
+                break
+            pair.append(int(round(d.sum() / (2.0 * np.pi))))
+        else:
+            winding = (pair[0], pair[1])
+    return FieldReport(**common, interface_cells=np.argwhere(changes[0] | changes[1]),
+                       perimeter=perimeter, isoperimetric_ratio=ratio, winding=winding)
 
 
 # ---------------------------------------------------------------------------

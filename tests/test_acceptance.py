@@ -14,8 +14,7 @@ from orthoflow.cli import (REFERENCE_BAND_WIDTHS, REFERENCE_MODE_COUNTS,
                            TABLE_EPSS, TABLE_TAUS, _build_run, parse_config)
 from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser,
                                    band_width, build_band, spectral_grid)
-from orthoflow.field import (GridSpec, MatrixField, plus_region_stats,
-                             plus_volume, winding_pair)
+from orthoflow.field import GridSpec, MatrixField, field_report, plus_volume
 from orthoflow.mbo import MboConfig, mbo_run, mbo_step, select_threshold
 from orthoflow.nufft import ModeGrid, direct_type1, direct_type2, nufft_type1, nufft_type2
 from orthoflow.scenarios import ScenarioSpec, build_initial, rotation_branch
@@ -223,7 +222,7 @@ def test_c06_star_isoperimetric_and_endpoint():
     cur = f
     for _ in range(cfg.max_iters):
         cur, stats = mbo_step(cur, cfg)
-        s = plus_region_stats(cur)
+        s = field_report(cur)
         if s.isoperimetric_ratio is not None:
             ratios.append(s.isoperimetric_ratio)
         if stats.max_change <= cfg.stop_tol:
@@ -245,7 +244,7 @@ def test_c07_winding_run_endpoint(shipped_runs):
     assert res.converged
     dev = res.final.max_deviation_from_mean()
     assert dev > 1e-3                      # non-constant
-    assert winding_pair(res.final) == (0, 1)
+    assert field_report(res.final).winding == (0, 1)
     _, stats = mbo_step(res.final, cfg)
     assert stats.max_change <= 1e-8        # stationary
     assert run["seconds"] < 180.0
@@ -336,7 +335,7 @@ def test_c11_volume_constraint(shipped_runs):
     worst = float(np.abs(pv - target).max())
     assert worst <= cell
     # the preserved star relaxes to a circle
-    final_stats = plus_region_stats(res.final)
+    final_stats = field_report(res.final)
     assert final_stats.isoperimetric_ratio < 1.15
 
     # surface variant: within one point weight

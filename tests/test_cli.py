@@ -10,12 +10,12 @@ import pytest
 import struct
 import time
 
-from orthoflow import cli
+from orthoflow import cli, cpm_surface
 from orthoflow.cli import (EXIT_NUMERICAL, cmd_check, cmd_run, cmd_tables, main,
                            parse_config)
 from orthoflow.errors import ConfigurationError, NumericalHealthError
-from orthoflow.field import (GridSpec, MatrixField, interface_cells, plus_region_stats,
-                             plus_volume, read_snapshot, winding_pair, write_snapshot)
+from orthoflow.field import (GridSpec, MatrixField, field_report, plus_volume, read_snapshot,
+                             write_snapshot)
 from orthoflow.scenarios import ScenarioSpec, build_initial
 
 
@@ -73,7 +73,30 @@ class TestParseConfig:
     def test_schema_keys_match_readme(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         schema = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
-        assert set(re.findall(r"^\| `([a-z_.]+)` \|", schema, re.M)) == cli.CONFIG_KEYS
+        rows = re.findall(r"^\| `([a-z_.]+)` \|.*\| (all|torus|surface) \|$", schema, re.M)
+        assert {key for key, _ in rows} == cli.CONFIG_KEYS
+        assert {key for key, family in rows if family == "torus"} == cli.TORUS_KEYS
+        assert {key for key, family in rows if family == "surface"} == cli.SURFACE_KEYS
+
+    @pytest.mark.parametrize("scenario, line", [
+        ("torus_star_defect", "surface.dx = 0.3"),
+        ("torus_disk_n1", "surface.name = sphere"),
+        ("torus_winding", "surface.p = 1"),
+        ("torus_volume_star", "surface.eps = 1e-6"),
+        ("torus_parallel_defects", "surface.w_b = 1.0"),
+        ("sphere_volume", "grid.size = 16"),
+        ("sphere_two_patches", "scenario.disk_radius = 0.3"),
+        ("peanut_two_patches", "scenario.winding_index = 1"),
+    ])
+    def test_key_of_the_other_scenario_family_exit_one(self, tmp_path, capsys, scenario, line):
+        # checked before any set-up: the run would otherwise ignore the key
+        key = line.split(" =", 1)[0]
+        cfg = write_config(tmp_path / "c.txt", f"scenario.name = {scenario}\n{line}\n"
+                           "run.max_iters = 2\n")
+        assert cmd_run(cfg, out_dir=tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key {key!r} does not apply to scenario {scenario!r}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestTables:
@@ -266,6 +289,18 @@ class TestFailureExitCodes:
         assert code == 1
         assert err == "error: Unable to allocate 3.64 TiB for an array\n"
 
+    def test_band_mesh_beyond_available_memory_exit_one(self, tmp_path, capsys, monkeypatch):
+        # the machine reports 1 MiB available: the refusal comes before the mesh
+        monkeypatch.setattr(cpm_surface, "_available_memory", lambda: 2.0**20)
+        monkeypatch.setattr(cpm_surface.np, "meshgrid", None)
+        cfg = write_config(tmp_path / "cfg.txt", "scenario.name = sphere_two_patches\n"
+                           "surface.dx = 0.25\nsurface.p = 1\nrun.max_iters = 1\n")
+        code = cmd_run(cfg, out_dir=tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: the band's bounding-box mesh of 9261 points needs at least "
+                       "0.0011 GiB, more than the 0.000977 GiB available\n")
+
     def test_unwritable_output_exit_one(self, tmp_path, capsys):
         # the run succeeds, but energy_log.csv is a directory
         cfg = write_config(tmp_path / "cfg.txt", """
@@ -315,13 +350,14 @@ class TestCheckReport:
         assert cmd_check(path) == 0
         out = capsys.readouterr().out
         assert calls == {"orthogonality_defect": 1, "dets": 1}
+        report = field_report(f)
+        assert calls == {"orthogonality_defect": 2, "dets": 2}
         monkeypatch.undo()
-        # the report equals what the public, self-checking diagnostics give
-        stats = plus_region_stats(f)
-        ix, iy = winding_pair(f)
+        # check prints the report, whose plus volume is the public one
+        ix, iy = report.winding
         assert f"plus_volume={plus_volume(f):.6f} " in out
-        assert f"interface_cells={len(interface_cells(f))}\n" in out
-        assert f"area={stats.area:.6f} perimeter={stats.perimeter_estimate:.6f} " in out
+        assert f"interface_cells={len(report.interface_cells)}\n" in out
+        assert f"area={report.plus_volume:.6f} perimeter={report.perimeter:.6f} " in out
         assert f"winding=({ix},{iy})\n" in out
 
     def test_anisotropic_grid_perimeter_per_axis(self, tmp_path, capsys):

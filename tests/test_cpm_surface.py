@@ -11,6 +11,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoflow import cpm_surface
 from orthoflow.cpm_surface import (BandSpec, CallableSurface, Sphere, SurfaceDiffuser,
                                     SurfaceOfRevolution, band_width, build_band,
                                     peanut_surface, spectral_grid, tail_T)
@@ -303,6 +304,19 @@ class TestBuildBand:
         w = band.quad_weights.reshape(len(band.grid_points), 27)
         np.testing.assert_allclose(w.sum(axis=1), 0.2**3, atol=1e-12)
         assert band.n_q == 27 * len(band.grid_points)
+
+    @pytest.mark.parametrize("available, what", [
+        (2.0**20, "bounding-box mesh of 9261 points needs at least 0.0011 GiB, "
+                  "more than the 0.000977 GiB available"),
+        (2.0**21, "quadrature of 40554 points needs at least 0.00212 GiB, "
+                  "more than the 0.00195 GiB available")])
+    def test_arrays_beyond_available_memory_refused(self, monkeypatch, available, what):
+        # 21^3 mesh points need 1.19 MB, the 40554 quadrature points 2.27 MB
+        monkeypatch.setattr(cpm_surface, "_available_memory", lambda: available)
+        spec = BandSpec(dx=0.25, w_b=band_width(0.01, 1e-6), p=3, eps=1e-6)
+        with pytest.raises(MemoryError, match=what) as info:
+            build_band(Sphere(1.0), spec)
+        assert "\n" not in str(info.value)
 
     def test_distances_below_band_width(self, sphere_band):
         assert sphere_band.grid_distances.max() < sphere_band.spec.w_b

@@ -1,4 +1,4 @@
-"""Field diagnostics (plus volume, winding, interface) and the snapshot format."""
+"""Field diagnostics (plus volume, the field report) and the snapshot format."""
 import struct
 
 import numpy as np
@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoflow.errors import SnapshotFormatError, UnderResolvedError
-from orthoflow.field import (EnergyLog, GridSpec, MatrixField, interface_cells,
-                             plus_region_stats, plus_volume, read_snapshot,
-                             winding_pair, write_snapshot)
+from orthoflow.errors import SnapshotFormatError
+from orthoflow.field import (EnergyLog, GridSpec, MatrixField, field_report, plus_volume,
+                             read_snapshot, write_snapshot)
 from orthoflow.scenarios import reflection_branch, rotation_branch
 
 
@@ -84,40 +83,39 @@ class TestPlusVolume:
 class TestWinding:
     def test_constant(self):
         f = rotation_field(torus_grid(64), lambda x, y: np.zeros_like(x))
-        assert winding_pair(f) == (0, 0)
+        assert field_report(f).winding == (0, 0)
 
     def test_winds_once_in_y(self):
         f = rotation_field(torus_grid(64), lambda x, y: 2 * np.pi * y)
-        assert winding_pair(f) == (0, 1)
+        assert field_report(f).winding == (0, 1)
 
     def test_periodic_sine_has_no_net_winding(self):
         f = rotation_field(torus_grid(64),
                            lambda x, y: (np.pi / 2) * np.sin(2 * np.pi * (x + y)))
-        assert winding_pair(f) == (0, 0)
+        assert field_report(f).winding == (0, 0)
 
     def test_left_rotation_invariance(self):
         g = torus_grid(64)
         f = rotation_field(g, lambda x, y: 2 * np.pi * y)
         r = rotation_branch(np.array(0.7))
         g2 = MatrixField.grid_field(g, np.einsum("ij,...jk->...ik", r, f.data))
-        assert winding_pair(g2) == winding_pair(f)
+        assert field_report(g2).winding == field_report(f).winding
 
     def test_under_resolved(self):
         # two turns across 8 samples: step angle pi/2 exactly
         f = rotation_field(torus_grid(8), lambda x, y: 4 * np.pi * y)
-        with pytest.raises(UnderResolvedError):
-            winding_pair(f)
+        assert field_report(f).winding == "angle step 1.571 >= pi/2 along axis 1"
 
 
 class TestInterfaceCells:
     def test_constant_empty(self):
         f = rotation_field(torus_grid(64), lambda x, y: np.zeros_like(x))
-        assert len(interface_cells(f)) == 0
+        assert len(field_report(f).interface_cells) == 0
 
     def test_half_plane_band_width_one(self):
         g = torus_grid(128)
         f = split_field(g, lambda x, y: x < 0)
-        cells = interface_cells(f)
+        cells = field_report(f).interface_cells
         # two split lines (interior and wrap), one cell column each
         assert len(cells) == 2 * 128
         assert len(np.unique(cells[:, 0])) == 2
@@ -126,12 +124,12 @@ class TestInterfaceCells:
         g = torus_grid(256)
         f = split_field(g, lambda x, y: x**2 + y**2 < 0.09)
         target = 2 * np.pi * 0.3 / g.dx
-        assert abs(len(interface_cells(f)) - target) <= 0.15 * target
+        assert abs(len(field_report(f).interface_cells) - target) <= 0.15 * target
 
     def test_empty_iff_constant_sign(self):
         g = torus_grid(64)
         f = split_field(g, lambda x, y: x**2 + y**2 < 0.04)
-        assert len(interface_cells(f)) > 0
+        assert len(field_report(f).interface_cells) > 0
 
 
 class TestPlusRegionStats:
@@ -140,21 +138,98 @@ class TestPlusRegionStats:
         # 0.99..1.01 over radii/offsets); bracket with margin
         g = torus_grid(256)
         f = split_field(g, lambda x, y: x**2 + y**2 < 0.09)
-        stats = plus_region_stats(f)
-        assert stats.area == pytest.approx(np.pi * 0.09, rel=0.02)
-        assert 0.9 <= stats.isoperimetric_ratio <= 1.1
+        report = field_report(f)
+        assert report.plus_volume == pytest.approx(np.pi * 0.09, rel=0.02)
+        assert 0.9 <= report.isoperimetric_ratio <= 1.1
 
     def test_full_region_signalled(self):
         f = rotation_field(torus_grid(64), lambda x, y: np.zeros_like(x))
-        stats = plus_region_stats(f)
-        assert stats.perimeter_estimate == 0.0
-        assert stats.isoperimetric_ratio is None
+        report = field_report(f)
+        assert report.perimeter == 0.0
+        assert report.isoperimetric_ratio is None
 
     def test_square_area(self):
         g = torus_grid(256)
         f = split_field(g, lambda x, y: (np.abs(x) < 0.2) & (np.abs(y) < 0.2))
-        stats = plus_region_stats(f)
-        assert abs(stats.area - 0.16) <= 2 * g.dx
+        report = field_report(f)
+        assert abs(report.plus_volume - 0.16) <= 2 * g.dx
+
+
+@st.composite
+def sign_fields(draw, ns=(1, 2)):
+    """(field, winding): a random sign field, n in ns, on a 2-D grid whose
+    sizes and extents differ per axis.  For n = 2 the angle of the first column
+    winds (kx, ky) times with noise of at most 0.3, so every step stays below
+    pi/2."""
+    sizes = (draw(st.integers(8, 20)), draw(st.integers(8, 20)))
+    extent = (draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plus = rng.random(sizes) < draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    if draw(st.sampled_from(ns)) == 1:
+        data, winding = np.where(plus, 1.0, -1.0)[..., None, None], None
+    else:
+        winding = (draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+        i, j = np.meshgrid(*(np.arange(s) / s for s in sizes), indexing="ij")
+        alpha = (2 * np.pi * (winding[0] * i + winding[1] * j)
+                 + rng.uniform(-0.3, 0.3, sizes))
+        data = np.where(plus[..., None, None], rotation_branch(alpha),
+                        reflection_branch(alpha))
+    return MatrixField.grid_field(GridSpec(sizes, extent), data), winding
+
+
+class TestFieldReportProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(sign_fields())
+    def test_plus_volume_is_the_public_one(self, case):
+        f, _ = case
+        assert field_report(f).plus_volume == plus_volume(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sign_fields())
+    def test_plus_and_minus_measures_partition_the_total(self, case):
+        f, _ = case
+        report = field_report(f)
+        minus = float(np.sum(f.weights[f.dets().reshape(-1) <= 0]))
+        assert report.plus_volume + minus == pytest.approx(report.total_measure,
+                                                           abs=1e-12 * report.total_measure)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sign_fields())
+    def test_no_interface_iff_one_sign(self, case):
+        f, _ = case
+        report = field_report(f)
+        det = f.dets()
+        one_sign = bool(np.all(det > 0) or np.all(det <= 0))
+        assert (len(report.interface_cells) == 0) == one_sign
+        assert (report.isoperimetric_ratio is None) == one_sign
+
+    @settings(max_examples=80, deadline=None)
+    @given(sign_fields(ns=(2,)), st.floats(-np.pi, np.pi))
+    def test_winding_invariant_under_left_rotation(self, case, phi):
+        f, winding = case
+        rotated = f.copy_with(np.einsum("ij,...jk->...ik", rotation_branch(np.array(phi)),
+                                        f.data))
+        assert field_report(rotated).winding == field_report(f).winding == winding
+
+    @settings(max_examples=80, deadline=None)
+    @given(sign_fields())
+    def test_perimeter_invariant_under_transpose(self, case):
+        # the transposed field on the transposed grid: a square grid when the
+        # sizes and extents agree
+        f, _ = case
+        grid = GridSpec(f.grid.sizes[::-1], f.grid.extent[::-1])
+        transposed = MatrixField.grid_field(grid, f.data.swapaxes(0, 1))
+        assert field_report(transposed).perimeter == field_report(f).perimeter
+
+    def test_cloud_and_3d_grid_report_no_planar_diagnostics(self):
+        pts, w, data = small_cloud()
+        grid = GridSpec((8, 8, 8))
+        for f in (MatrixField.cloud_field(pts, w, data),
+                  MatrixField.grid_field(grid, np.broadcast_to(np.eye(2), (8, 8, 8, 2, 2)))):
+            report = field_report(f)
+            assert report.plus_volume == plus_volume(f)
+            assert (report.interface_cells, report.perimeter, report.isoperimetric_ratio,
+                    report.winding) == (None, None, None, None)
 
 
 class TestLayout:

@@ -373,7 +373,9 @@ def wrapping_lattice():
 def assert_filtered_matches_fft(pts, modes, tol, ncols, half=None, seed=1):
     """filtered(half) against the FFT of the spread with the even multiplier
     mu(k) = half[|k|]; by default half is 1 below M, 1/2 at M and 0 above,
-    shaped by a non-monotone factor."""
+    shaped by a non-monotone factor.  The error is bounded relative to the
+    unfiltered spread times the multiplier's largest modulus, a scale the
+    multiplier cannot cancel as it can the filtered grid's."""
     n, m = 4 * modes.m_half, modes.m_half
     if half is None:
         k = np.arange(n // 2 + 1)
@@ -383,11 +385,11 @@ def assert_filtered_matches_fft(pts, modes, tol, ncols, half=None, seed=1):
     cols = np.random.default_rng(seed).standard_normal((len(pts), ncols))
     lattice = LatticeSpreader(pts, modes, tol)
     mult = (mu[:, None, None] * mu[None, :, None] * mu[None, None, :])[..., None]
-    want = np.fft.ifftn(mult * np.fft.fftn(lattice.spread(cols), axes=(0, 1, 2)),
-                        axes=(0, 1, 2)).real
+    spread = lattice.spread(cols)
+    want = np.fft.ifftn(mult * np.fft.fftn(spread, axes=(0, 1, 2)), axes=(0, 1, 2)).real
     got = lattice.filtered(half).spread(cols)
     assert got.shape == want.shape and got.dtype == np.float64
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(spread).max() * np.abs(mult).max()
 
 
 class TestLatticeSpreader:
@@ -441,6 +443,15 @@ class TestLatticeSpreader:
         assert_lattice_matches_gridder(sites[keep], modes, tol, ncols, seed=seed)
         half = np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * modes.m_half + 1)
         assert_filtered_matches_fft(sites[keep], modes, tol, ncols, half=half, seed=seed)
+
+    def test_filtered_multiplier_cancelling_the_grid(self):
+        # a drawn example of the property below: the multiplier cancels the
+        # filtered grid to 9.4e-4 of max|spread| max|mult|, and the error,
+        # 2.0e-18, exceeds 1e-14 max|filtered grid|
+        modes, seed = ModeGrid(h=1.0, m_half=2), 1523
+        half = np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * modes.m_half + 1)
+        assert_filtered_matches_fft(np.array([[0.0, 0.0, 1.0]]), modes, 1e-8, 1,
+                                    half=half, seed=seed)
 
     def test_scattered_cloud_rejected(self, case):
         modes, pts, _ = case

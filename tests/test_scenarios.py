@@ -4,7 +4,7 @@ import pytest
 
 from orthoflow.cpm_surface import BandSpec, Sphere, band_width, build_band
 from orthoflow.errors import ConfigurationError
-from orthoflow.field import GridSpec, winding_pair
+from orthoflow.field import GridSpec, field_report
 from orthoflow.scenarios import (PATCH_MINUS, PATCH_PLUS, SCENARIO_NAMES,
                                  ScenarioSpec, build_initial, builtin_surface)
 
@@ -61,7 +61,7 @@ class TestTorusRegions:
     def test_winding_pair_of_initial_field(self):
         g = GridSpec((128, 128))
         f = build_initial(ScenarioSpec("torus_winding", grid=g))
-        assert winding_pair(f) == (0, 1)
+        assert field_report(f).winding == (0, 1)
 
     def test_parallel_angle_field(self, grid):
         f = make("torus_parallel_defects", grid, None)
