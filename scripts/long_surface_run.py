@@ -38,8 +38,7 @@ def run_band(name: str, steps: int, seed: int) -> bool:
     surface, dx, tau = BANDS[name]
     band = build_band(surface, BandSpec(dx=dx, w_b=band_width(tau, EPS), p=1, eps=EPS))
     rng = np.random.default_rng([seed, len(name)])
-    initial = band.constant_field(3, np.eye(3))
-    initial = initial.copy_with(random_o3(band.n_q, rng))
+    initial = band.field(random_o3(band.n_q, rng))
     cfg = MboConfig(backend=SurfaceDiffuser(band, tau), max_iters=steps, stop_tol=0.0)
     t0 = time.process_time()
     result = mbo_run(initial, cfg)

@@ -6,9 +6,9 @@ represented by their closest-point maps, with a volume-constrained variant
 and a built-in Lyapunov-energy monitor.
 """
 
-from .cpm_surface import (BandSet, BandSpec, CallableSurface, Sphere, Surface,
-                          SurfaceDiffuser, SurfaceOfRevolution, band_width,
-                          build_band, peanut_surface, spectral_grid, tail_T)
+from .cpm_surface import (BandSet, BandSpec, Sphere, Surface, SurfaceDiffuser,
+                          SurfaceOfRevolution, band_width, build_band, peanut_surface,
+                          spectral_grid, tail_T)
 from .errors import ConfigurationError, SnapshotFormatError
 from .field import (EnergyLog, FieldReport, GridSpec, MatrixField, field_report,
                     plus_volume, read_snapshot, write_snapshot)

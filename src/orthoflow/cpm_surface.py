@@ -22,6 +22,10 @@ One accuracy, the band's eps in [1e-12, 0.01], sets w_b, M and the stencil width
 
 Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
 step; the diffusion time rescales by the squared map factor.
+
+A surface is any object with closest, bounding_box and area.  A surface field
+(BandSet.field) holds one matrix per band quadrature point, stored at that
+point's closest point with its surface-measure weight.
 """
 
 from __future__ import annotations
@@ -45,13 +49,14 @@ __all__ = [
     "Surface",
     "Sphere",
     "SurfaceOfRevolution",
-    "CallableSurface",
     "peanut_surface",
     "BandSpec",
     "BandSet",
     "build_band",
     "SurfaceDiffuser",
 ]
+
+PROFILE_SAMPLES = 1024    # profile points behind a surface of revolution's closest-point seed
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +130,26 @@ class Surface:
 
 
 class Sphere(Surface):
-    def __init__(self, radius: float = 1.0, center=(0.0, 0.0, 0.0)):
+    """Sphere of the given radius about the origin, with analytic closest points."""
+
+    def __init__(self, radius: float = 1.0):
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        self.center = np.asarray(center, dtype=float)
 
     def closest(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = points - self.center
-        r = np.linalg.norm(rel, axis=1)
-        out = np.empty_like(rel)
+        r = np.linalg.norm(points, axis=1)
+        out = np.empty_like(points)
         ok = r > 0
-        out[ok] = rel[ok] * (self.radius / r[ok])[:, None]
-        # center is equidistant from everything: canonical axis point
+        out[ok] = points[ok] * (self.radius / r[ok])[:, None]
+        # the origin is equidistant from everything: canonical axis point
         out[~ok] = np.array([self.radius, 0.0, 0.0])
-        return out + self.center
+        return out
 
     def bounding_box(self):
         r = np.full(3, self.radius)
-        return self.center - r, self.center + r
+        return -r, r
 
     def area(self):
         return 4.0 * np.pi * self.radius**2
@@ -154,21 +159,19 @@ class SurfaceOfRevolution(Surface):
     """Profile curve (axial(t), radial(t)) rotated about the x-axis.
 
     The closest-point search reduces to the 2D profile in the (axial, radial)
-    half-plane.  A KD-tree over the presampled profile points gives the
-    nearest sample (ties resolve to the smallest parameter), and a golden-
-    section search refines the parameter between that sample's neighbours.
-    On-axis points take the (y, z) direction (1, 0).
+    half-plane.  A KD-tree over PROFILE_SAMPLES equally spaced profile points
+    gives the nearest sample (ties resolve to the smallest parameter), and a
+    golden-section search refines the parameter between that sample's
+    neighbours.  On-axis points take the (y, z) direction (1, 0).
     """
 
     _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-    def __init__(self, axial, radial, t_range=(-1.0, 1.0), samples: int = 1024):
-        if samples < 2:
-            raise ValueError("need at least 2 profile samples")
+    def __init__(self, axial, radial, t_range=(-1.0, 1.0)):
         self.axial = axial
         self.radial = radial
         self.t0, self.t1 = float(t_range[0]), float(t_range[1])
-        self._ts = np.linspace(self.t0, self.t1, samples)
+        self._ts = np.linspace(self.t0, self.t1, PROFILE_SAMPLES)
         self._prof_x = np.asarray(axial(self._ts), dtype=float)
         self._prof_r = np.asarray(radial(self._ts), dtype=float)
         if not (np.all(np.isfinite(self._prof_x)) and np.all(np.isfinite(self._prof_r))):
@@ -252,25 +255,6 @@ class SurfaceOfRevolution(Surface):
         return float(np.trapezoid(2.0 * np.pi * r * np.hypot(dx, dr), ts))
 
 
-class CallableSurface(Surface):
-    """Surface given directly by a closest-point map."""
-
-    def __init__(self, closest_fn, bounding_box, area):
-        self._closest = closest_fn
-        self._bbox = (np.asarray(bounding_box[0], dtype=float),
-                      np.asarray(bounding_box[1], dtype=float))
-        self._area = float(area)
-
-    def closest(self, points):
-        return np.atleast_2d(np.asarray(self._closest(points), dtype=float))
-
-    def bounding_box(self):
-        return self._bbox
-
-    def area(self):
-        return self._area
-
-
 def peanut_surface() -> SurfaceOfRevolution:
     """Peanut of revolution: x(t) = 3t - t^3, rho = sqrt((1+x^2)(4-x^2))/2."""
 
@@ -327,14 +311,14 @@ def _gc_nodes_weights(p: int):
 
 class BandSet:
     """Retained band cells with quadrature points, weights, closest points, and the
-    surface-measure weights, fixed here: surface.area() may integrate a profile."""
+    surface-measure weights, fixed here: surface.area() may integrate a profile.
+    field(data) puts one matrix per quadrature point at its closest point."""
 
-    def __init__(self, surface, spec, grid_points, grid_distances,
-                 quad_points, quad_weights, closest_points):
+    def __init__(self, surface, spec, grid_points, quad_points, quad_weights,
+                 closest_points):
         self.surface = surface
         self.spec = spec
         self.grid_points = grid_points
-        self.grid_distances = grid_distances
         self.quad_points = quad_points
         self.quad_weights = quad_weights
         self.closest_points = closest_points
@@ -349,11 +333,9 @@ class BandSet:
         """Per-point surface-measure weights (sum equals the surface area), read-only."""
         return self._surface_weights
 
-    def constant_field(self, n: int, matrix) -> MatrixField:
-        data = np.broadcast_to(np.asarray(matrix, dtype=float),
-                               (self.n_q, n, n)).copy()
-        return MatrixField.cloud_field(self.closest_points,
-                                       self.surface_weights(), data)
+    def field(self, data) -> MatrixField:
+        """The surface field with (n_q, n, n) data on this band's closest points."""
+        return MatrixField.cloud_field(self.closest_points, self.surface_weights(), data)
 
 
 def build_band(surface: Surface, spec: BandSpec) -> BandSet:
@@ -382,7 +364,6 @@ def build_band(surface: Surface, spec: BandSpec) -> BandSet:
     if not np.any(keep):
         raise ConfigurationError("band is empty: no grid point within w_b")
     grid_points = grid_points[keep]
-    dists = dists[keep]
 
     # the quadrature points, their closest points (3 doubles each), the weights
     _require_memory("the band's quadrature", len(grid_points) * p**3, 7)
@@ -398,8 +379,7 @@ def build_band(surface: Surface, spec: BandSpec) -> BandSet:
     quad_points = (grid_points[:, None, :] + cell_offsets[None, :, :]).reshape(-1, 3)
     quad_weights = np.tile(cell_weights, len(grid_points))
     closest = _chunked_closest(surface, quad_points)
-    return BandSet(surface, spec, grid_points, dists, quad_points,
-                   quad_weights, closest)
+    return BandSet(surface, spec, grid_points, quad_points, quad_weights, closest)
 
 
 _CLOSEST_CHUNK = 262144    # points per surface.closest call
@@ -483,23 +463,18 @@ class SurfaceDiffuser:
                     * np.where(k < m, 1.0, 0.5 * (k == m)))
         self._spreader = LatticeSpreader(src, self.modes, eps).filtered(self._mu)
 
-        # calibrate the residual scalar on the constant field
-        self._kappa = 1.0 / float(self._apply(np.ones((band.n_q, 1))).max())
-
-    def _apply(self, values: np.ndarray) -> np.ndarray:
-        """Raw pipeline on (n_q, C) real values, before kappa."""
-        grid = self._spreader.spread(self.band.quad_weights[:, None] * values)
-        return self._tgt_plan.gather(grid)
+        # calibrate the residual scalar on the constant field, from kappa = 1
+        self._kappa = 1.0
+        self._kappa = 1.0 / float(self.diffuse_values(np.ones((band.n_q, 1))).max())
 
     def diffuse_values(self, values: np.ndarray) -> np.ndarray:
         """Diffuse per-point scalar columns (n_q, C) for time tau."""
-        return self._apply(values) * self._kappa
+        grid = self._spreader.spread(self.band.quad_weights[:, None] * values)
+        return self._tgt_plan.gather(grid) * self._kappa
 
     def diffuse(self, f: MatrixField) -> MatrixField:
-        if f.is_grid or f.points is None or len(f.points) != self.band.n_q:
+        if f.is_grid or not np.array_equal(f.points, self.band.closest_points):
             raise ValueError("field does not live on this band's closest points")
-        if not np.array_equal(f.points, self.band.closest_points):
-            raise ValueError("field points differ from the band's closest points")
         flat = f.flat().reshape(self.band.n_q, f.n * f.n)
         out = self.diffuse_values(flat)
         return f.copy_with(out.reshape(self.band.n_q, f.n, f.n))

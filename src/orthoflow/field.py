@@ -52,6 +52,8 @@ class GridSpec:
     extent: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not self.sizes:
+            raise ValueError("grid dimension d = 0: a grid needs at least one axis")
         if not self.extent:
             object.__setattr__(self, "extent", (1.0,) * len(self.sizes))
         if len(self.extent) != len(self.sizes):
@@ -98,15 +100,15 @@ class MatrixField:
     clouds.  weights is the one per-point integration weight array,
     (npoints,): a read-only broadcast of the cell weight on a grid, the given
     positive finite weights of a cloud, whose points are finite (npoints, 3).
-    The layout is checked once here; copy_with reuses it.
+    The layout (n >= 1, npoints >= 1) is checked once here; copy_with reuses it.
     """
 
     def __init__(self, data, grid=None, points=None, weights=None):
         self.data = np.asarray(data, dtype=float)
         self.n = self.data.shape[-1] if self.data.ndim >= 2 else 0
         self.grid = grid
-        if self.data.shape[-2:] != (self.n, self.n):
-            raise ValueError("data must end in (n, n) axes")
+        if self.n == 0 or self.data.shape[-2:] != (self.n, self.n):
+            raise ValueError("data must end in (n, n) axes with n >= 1")
         lead = self.data.shape[:-2]
         if grid is not None:
             if lead != grid.sizes:
@@ -118,9 +120,10 @@ class MatrixField:
             raise ValueError("cloud fields need points and weights")
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        if len(lead) != 1 or self.points.shape != lead + (3,) or self.weights.shape != lead:
+        if (len(lead) != 1 or lead == (0,) or self.points.shape != lead + (3,)
+                or self.weights.shape != lead):
             raise ValueError("cloud data must be (npoints, n, n) with (npoints, 3) "
-                             "points and (npoints,) weights")
+                             "points and (npoints,) weights, npoints >= 1")
         if not (np.isfinite(self.points).all() and np.isfinite(self.weights).all()):
             raise ValueError("non-finite cloud points or weights")
         if np.any(self.weights <= 0):
@@ -321,20 +324,6 @@ class EnergyLog:
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write(self.to_csv())
-
-    @classmethod
-    def from_csv(cls, path) -> "EnergyLog":
-        log = cls()
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != cls.CSV_HEADER:
-                raise ValueError(f"unexpected energy log header: {header!r}")
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                log.append(int(row[0]), float(row[1]), float(row[2]),
-                           float(row[3]), int(row[4]))
-        return log
 
 
 # ---------------------------------------------------------------------------

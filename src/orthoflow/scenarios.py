@@ -151,27 +151,19 @@ def build_initial(spec: ScenarioSpec) -> MatrixField:
     if name in ("sphere_two_patches", "sphere_volume"):
         pts = _band_points(spec)
         plus = (pts[:, 0] < 0) & (pts[:, 1] < 0) & (pts[:, 2] > 0)
-        return _two_patch_field(spec.band, plus)
-
-    if name == "peanut_two_patches":
+    elif name == "peanut_two_patches":
         pts = _band_points(spec)
         y2z2 = pts[:, 1] ** 2 + pts[:, 2] ** 2
         plus = pts[:, 0] > np.sqrt(y2z2 * (pts[:, 1] ** 2 + 0.1) / 1.5)
-        return _two_patch_field(spec.band, plus)
-
-    raise ConfigurationError(f"unknown scenario {name!r}")
+    else:
+        raise ConfigurationError(f"unknown scenario {name!r}")
+    return spec.band.field(np.where(plus[:, None, None], PATCH_PLUS, PATCH_MINUS))
 
 
 def _band_points(spec: ScenarioSpec) -> np.ndarray:
     if spec.band is None:
         raise ConfigurationError(f"scenario {spec.name!r} needs a band")
     return spec.band.closest_points
-
-
-def _two_patch_field(band: BandSet, plus_mask: np.ndarray) -> MatrixField:
-    data = np.where(plus_mask[:, None, None], PATCH_PLUS, PATCH_MINUS)
-    return MatrixField.cloud_field(band.closest_points, band.surface_weights(),
-                                   data)
 
 
 def builtin_surface(name: str) -> Surface:

@@ -290,15 +290,13 @@ def test_c09_surface_diffusion_oracle():
                       BandSpec(dx=0.05, w_b=band_width(tau, eps), p=1, eps=eps))
     diffuser = SurfaceDiffuser(band, tau, eps)
 
-    ones = MatrixField.cloud_field(band.closest_points, band.surface_weights(),
-                                   np.ones((band.n_q, 1, 1)))
+    ones = band.field(np.ones((band.n_q, 1, 1)))
     out_c = diffuser.diffuse(ones)
     const_err = float(np.abs(out_c.data - 1.0).max())
     assert const_err <= 1e-5
 
     z = band.closest_points[:, 2]
-    fz = MatrixField.cloud_field(band.closest_points, band.surface_weights(),
-                                 z[:, None, None])
+    fz = band.field(z[:, None, None])
     out_z = diffuser.diffuse(fz).data[:, 0, 0]
     mask = np.abs(z) > 0.5
     eig_err = float(np.abs(out_z[mask] / z[mask] / np.exp(-2 * tau) - 1).max())

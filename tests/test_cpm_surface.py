@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoflow import cpm_surface
-from orthoflow.cpm_surface import (BandSpec, CallableSurface, Sphere, SurfaceDiffuser,
-                                    SurfaceOfRevolution, band_width, build_band,
-                                    peanut_surface, spectral_grid, tail_T)
+from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser, SurfaceOfRevolution,
+                                    band_width, build_band, peanut_surface, spectral_grid,
+                                    tail_T)
 from orthoflow.errors import ConfigurationError
 from orthoflow.field import MatrixField
 from orthoflow.nufft import GridderPlan, LatticeSpreader
@@ -259,10 +259,6 @@ class TestSurfaceOfRevolution:
         with pytest.raises(ValueError, match="finite"):
             SurfaceOfRevolution(lambda t: t, radial)
 
-    def test_single_sample_rejected(self):
-        with pytest.raises(ValueError, match="2 profile samples"):
-            SurfaceOfRevolution(np.cos, np.sin, t_range=(0.0, np.pi), samples=1)
-
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, axis, bad):
@@ -319,7 +315,9 @@ class TestBuildBand:
         assert "\n" not in str(info.value)
 
     def test_distances_below_band_width(self, sphere_band):
-        assert sphere_band.grid_distances.max() < sphere_band.spec.w_b
+        pts = sphere_band.grid_points
+        dists = np.linalg.norm(pts - sphere_band.surface.closest(pts), axis=1)
+        assert dists.max() < sphere_band.spec.w_b
 
     def test_degenerate_band_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -440,19 +438,26 @@ class TestOperatorGates:
 
 
 def test_callable_surface_matches_sphere(sphere_band, sphere_diffuser):
-    # the same closest-point map through CallableSurface gives the same band,
-    # and the diffusion depends only on the band
+    # any object with closest, bounding_box and area is a surface: the sphere's
+    # closest-point map through one gives the same band, and the diffusion
+    # depends only on the band
     sphere = Sphere(1.0)
-    band = build_band(CallableSurface(sphere.closest, sphere.bounding_box(), 4.0 * np.pi),
-                      sphere_band.spec)
-    for name in ("grid_points", "grid_distances", "quad_points", "quad_weights",
-                 "closest_points"):
+
+    class ClosestPointMap:
+        closest = staticmethod(sphere.closest)
+
+        def bounding_box(self):
+            return sphere.bounding_box()
+
+        def area(self):
+            return 4.0 * np.pi
+
+    band = build_band(ClosestPointMap(), sphere_band.spec)
+    for name in ("grid_points", "quad_points", "quad_weights", "closest_points"):
         assert np.array_equal(getattr(band, name), getattr(sphere_band, name)), name
     data = np.random.default_rng(13).standard_normal((band.n_q, 3, 3))
-    got = SurfaceDiffuser(band, TAU, EPS).diffuse(
-        MatrixField.cloud_field(band.closest_points, band.surface_weights(), data))
-    want = sphere_diffuser.diffuse(
-        MatrixField.cloud_field(sphere_band.closest_points, sphere_band.surface_weights(), data))
+    got = SurfaceDiffuser(band, TAU, EPS).diffuse(band.field(data))
+    want = sphere_diffuser.diffuse(sphere_band.field(data))
     assert np.array_equal(got.data, want.data)
 
 
@@ -483,8 +488,8 @@ class TestFusedHeatStep:
     def test_apply_matches_complex_reference(self, desk):
         band, dif = desk
         values = np.random.default_rng(3).standard_normal((band.n_q, 9))
-        ref = self.complex_reference(dif, values)
-        got = dif._apply(values)
+        ref = self.complex_reference(dif, values) * dif._kappa
+        got = dif.diffuse_values(values)
         assert got.dtype == np.float64
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -519,7 +524,7 @@ class TestFusedHeatStep:
                 count(module, name, f"{module.__name__}.{name}")
         count(GridderPlan, "_blocks", "blocks")
         count(LatticeSpreader, "spread", "lattice")
-        field = sphere_band.constant_field(3, np.eye(3))
+        field = sphere_band.field(np.broadcast_to(np.eye(3), (sphere_band.n_q, 3, 3)))
         sphere_diffuser.diffuse(field)            # C = 9 columns
         assert calls == {"blocks": 1, "lattice": 1}
 

@@ -1,4 +1,5 @@
 """Field diagnostics (plus volume, the field report) and the snapshot format."""
+import csv
 import struct
 
 import numpy as np
@@ -38,6 +39,11 @@ class TestGridSpec:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             GridSpec((4, 4))
+
+    def test_no_axis_rejected(self):
+        # d = 0: the layout read_snapshot refuses
+        with pytest.raises(ValueError, match="d = 0"):
+            GridSpec(())
 
     @pytest.mark.parametrize("extent", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0)])
     def test_non_finite_or_non_positive_extent_rejected(self, extent):
@@ -255,6 +261,18 @@ class TestLayout:
         with pytest.raises(ValueError, match="cloud data must be"):
             MatrixField.cloud_field(pts, w, data)
 
+    def test_no_matrix_or_no_point_rejected(self):
+        # n = 0 and an empty cloud: the layouts read_snapshot refuses
+        pts, w, _ = small_cloud()
+        with pytest.raises(ValueError, match="n >= 1"):
+            MatrixField.grid_field(torus_grid(8), np.zeros((8, 8, 0, 0)))
+        with pytest.raises(ValueError, match="n >= 1"):
+            MatrixField.cloud_field(pts, w, np.zeros((5, 0, 0)))
+        with pytest.raises(ValueError, match="n >= 1"):
+            MatrixField.cloud_field(pts, w, np.zeros(5))
+        with pytest.raises(ValueError, match="npoints >= 1"):
+            MatrixField.cloud_field(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 2, 2)))
+
     def test_grid_weights_stored_once(self):
         g = torus_grid(16)
         f = rotation_field(g, lambda x, y: x)
@@ -282,12 +300,17 @@ class TestEnergyLog:
     def test_round_trip(self, tmp_path):
         log = EnergyLog()
         log.append(1, 3.5, 0.25, 1.0, 4)
-        log.append(2, 3.25, 0.24, 0.5, 0)
+        log.append(2, 0.1 + 0.2, 1.0 / 3.0, 2.0**-60, 0)
         path = tmp_path / "log.csv"
         log.write_csv(path)
-        back = EnergyLog.from_csv(path)
-        assert back.rows == log.rows
         assert path.read_text().startswith("iter,energy,plus_volume,max_change,sign_flips\n")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        got = [(int(i), float(e).hex(), float(v).hex(), float(c).hex(), int(k))
+               for i, e, v, c, k in rows]
+        want = [(r.iteration, r.energy.hex(), r.plus_volume.hex(), r.max_change.hex(),
+                 r.sign_flips) for r in log.rows]
+        assert got == want
 
     def test_strictly_increasing_iterations(self):
         log = EnergyLog()
@@ -318,6 +341,18 @@ class TestSnapshots:
         np.testing.assert_array_equal(back.points, pts)
         np.testing.assert_array_equal(back.weights, w)
         np.testing.assert_array_equal(back.data, data)
+
+    def test_smallest_layouts_round_trip(self, tmp_path):
+        # d = 1, n = 1 and a one-point cloud: the edge of what both the
+        # constructor and read_snapshot accept
+        for f in (MatrixField.grid_field(GridSpec((8,)), np.arange(8.0)[:, None, None]),
+                  MatrixField.cloud_field(np.ones((1, 3)), np.full(1, 0.5), -np.ones((1, 1, 1)))):
+            path = tmp_path / "small.mbof"
+            write_snapshot(f, path)
+            back = read_snapshot(path)
+            assert (back.n, back.npoints, back.grid) == (1, f.npoints, f.grid)
+            np.testing.assert_array_equal(back.data, f.data)
+            np.testing.assert_array_equal(back.weights, f.weights)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mbof"
