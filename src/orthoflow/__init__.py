@@ -6,9 +6,8 @@ represented by their closest-point maps, with a volume-constrained variant
 and a built-in Lyapunov-energy monitor.
 """
 
-from .cpm_surface import (BandSet, BandSpec, Sphere, Surface, SurfaceDiffuser,
-                          SurfaceOfRevolution, band_width, build_band, peanut_surface,
-                          spectral_grid, tail_T)
+from .cpm_surface import (BandSet, BandSpec, Sphere, SurfaceDiffuser, SurfaceOfRevolution,
+                          band_width, build_band, peanut_surface, spectral_grid, tail_T)
 from .errors import ConfigurationError, SnapshotFormatError
 from .field import (EnergyLog, FieldReport, GridSpec, MatrixField, field_report,
                     plus_volume, read_snapshot, write_snapshot)
@@ -16,7 +15,8 @@ from .matgeom import determinants, projection_factors
 from .mbo import (Diffuser, MboConfig, RunResult, lyapunov_energy, mbo_run,
                   mbo_step, select_threshold)
 from .nufft import ModeGrid, direct_type1, direct_type2, nufft_type1, nufft_type2
-from .scenarios import SCENARIO_NAMES, ScenarioSpec, build_initial, builtin_surface
+from .scenarios import (SCENARIO_NAMES, SURFACE_SCENARIOS, TORUS_SCENARIOS, surface_initial,
+                        torus_initial)
 from .torus_heat import TorusDiffuser, heat_multiplier
 
 __version__ = "0.1.0"

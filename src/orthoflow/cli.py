@@ -12,12 +12,11 @@ energy of the final field: it costs one more diffusion after the loop.
 Exit codes:
 
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
-            key outside the schema or of the other scenario family, a
-            repeated key, a non-finite tau, stop_tol, surface.dx or
-            surface.w_b and a volume target outside (0, total measure)),
-            set-up arrays beyond memory or an unwritable output file,
-            4 numerical failure during the run (NumericalHealthError);
-            errors print one line on stderr
+            key outside the schema or one the chosen scenario does not read,
+            a repeated key, a non-finite tau, stop_tol or surface.dx and a
+            volume target outside (0, total measure)), set-up arrays beyond
+            memory or an unwritable output file, 4 numerical failure during
+            the run (NumericalHealthError); errors print one line on stderr
     tables  0 all entries match, 3 mismatches
     check   0 valid, 1 malformed or non-orthogonal snapshot
 """
@@ -34,7 +33,8 @@ from .cpm_surface import BandSpec, SurfaceDiffuser, band_width, build_band, spec
 from .errors import ConfigurationError, NumericalHealthError, SnapshotFormatError
 from .field import GridSpec, field_report, plus_volume, read_snapshot, write_snapshot
 from .mbo import MboConfig, lyapunov_energy, mbo_run
-from .scenarios import SCENARIO_NAMES, ScenarioSpec, build_initial, builtin_surface
+from .scenarios import (SCENARIO_NAMES, SURFACE_SCENARIOS, TORUS_SCENARIOS, surface_initial,
+                        torus_initial)
 from .torus_heat import TorusDiffuser
 
 __all__ = ["main", "cmd_run", "cmd_tables", "cmd_check", "EXIT_NUMERICAL",
@@ -60,15 +60,20 @@ REFERENCE_MODE_COUNTS = (
     (17, 50, 154, 475),
 )
 
+# the keys each scenario reads, the README schema's scenarios column; a schema
+# key the chosen scenario does not read is an error, not a silently ignored value
+_COMMON_KEYS = ("scenario.name run.tau run.max_iters run.stop_tol run.volume_target "
+                "output.snapshot_every output.dir")
+_TORUS_ONLY_KEYS = {"torus_disk_n1": "scenario.disk_radius",
+                    "torus_winding": "scenario.winding_index"}
+SCENARIO_KEYS = {
+    **{name: frozenset(f"{_COMMON_KEYS} grid.size {_TORUS_ONLY_KEYS.get(name, '')}".split())
+       for name in TORUS_SCENARIOS},
+    **{name: frozenset(f"{_COMMON_KEYS} surface.dx surface.p surface.eps".split())
+       for name in SURFACE_SCENARIOS},
+}
 # the README's config schema; any other key is an error, not a silent default
-CONFIG_KEYS = frozenset(
-    "scenario.name scenario.disk_radius scenario.winding_index grid.size run.tau "
-    "run.max_iters run.stop_tol run.volume_target surface.name surface.dx surface.p "
-    "surface.eps surface.w_b output.snapshot_every output.dir".split())
-# the keys of one scenario family (torus_*, or the surface scenarios); the
-# other family's scenarios reject them
-TORUS_KEYS = frozenset("scenario.disk_radius scenario.winding_index grid.size".split())
-SURFACE_KEYS = frozenset(k for k in CONFIG_KEYS if k.startswith("surface."))
+CONFIG_KEYS = frozenset().union(*SCENARIO_KEYS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +125,7 @@ def _build_run(cfg: dict):
     if name not in SCENARIO_NAMES:
         raise ConfigurationError(
             f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    torus = name.startswith("torus")
-    foreign = sorted(set(cfg) & (SURFACE_KEYS if torus else TORUS_KEYS))
+    foreign = sorted(set(cfg) - SCENARIO_KEYS[name])
     if foreign:
         raise ConfigurationError(f"config key {', '.join(map(repr, foreign))} "
                                  f"does not apply to scenario {name!r}")
@@ -129,29 +133,23 @@ def _build_run(cfg: dict):
     stop_tol = _get(cfg, "run.stop_tol", float, 1e-8)
     snapshot_every = _get(cfg, "output.snapshot_every", int, 10)
 
-    if torus:
+    if name in TORUS_SCENARIOS:
         size = _get(cfg, "grid.size", int, 256)
         grid = GridSpec((size, size))
         tau = _get(cfg, "run.tau", float, 8.0 * grid.dx)
-        spec = ScenarioSpec(
-            name, grid=grid,
-            disk_radius=_get(cfg, "scenario.disk_radius", float, 0.3),
-            winding_index=_get(cfg, "scenario.winding_index", int, 1))
         backend = TorusDiffuser(grid, tau)
+        initial = torus_initial(name, grid, _get(cfg, "scenario.disk_radius", float, 0.3),
+                                _get(cfg, "scenario.winding_index", int, 1))
     else:
-        surf_name = _get(cfg, "surface.name", str,
-                         "sphere" if name.startswith("sphere") else "peanut")
-        surface = builtin_surface(surf_name)
         tau = _get(cfg, "run.tau", float, 0.01)
         dx = _get(cfg, "surface.dx", float, 0.05)
         p = _get(cfg, "surface.p", int, 3)
         eps = _get(cfg, "surface.eps", float, 1e-6)
-        w_b = _get(cfg, "surface.w_b", float, band_width(tau, eps))
-        band = build_band(surface, BandSpec(dx=dx, w_b=w_b, p=p, eps=eps))
-        spec = ScenarioSpec(name, band=band)
+        band = build_band(SURFACE_SCENARIOS[name](),
+                          BandSpec(dx=dx, w_b=band_width(tau, eps), p=p, eps=eps))
         backend = SurfaceDiffuser(band, tau)
+        initial = surface_initial(name, band)
 
-    initial = build_initial(spec)
     volume_target = None
     raw_v = cfg.get("run.volume_target")
     if raw_v is not None:

@@ -46,7 +46,6 @@ __all__ = [
     "tail_T",
     "band_width",
     "spectral_grid",
-    "Surface",
     "Sphere",
     "SurfaceOfRevolution",
     "peanut_surface",
@@ -116,20 +115,7 @@ def spectral_grid(tau: float, eps: float, R: float) -> ModeGrid:
 # Surfaces
 # ---------------------------------------------------------------------------
 
-class Surface:
-    """A closed surface embedded in R^3, described by its closest-point map."""
-
-    def closest(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def area(self) -> float:
-        raise NotImplementedError
-
-
-class Sphere(Surface):
+class Sphere:
     """Sphere of the given radius about the origin, with analytic closest points."""
 
     def __init__(self, radius: float = 1.0):
@@ -155,7 +141,7 @@ class Sphere(Surface):
         return 4.0 * np.pi * self.radius**2
 
 
-class SurfaceOfRevolution(Surface):
+class SurfaceOfRevolution:
     """Profile curve (axial(t), radial(t)) rotated about the x-axis.
 
     The closest-point search reduces to the 2D profile in the (axial, radial)
@@ -338,7 +324,7 @@ class BandSet:
         return MatrixField.cloud_field(self.closest_points, self.surface_weights(), data)
 
 
-def build_band(surface: Surface, spec: BandSpec) -> BandSet:
+def build_band(surface, spec: BandSpec) -> BandSet:
     """Grid the w_b-neighborhood of the surface and build the quadrature set.
 
     Cells are anchored at multiples of dx; a cell x_g + [0, dx]^3 is retained

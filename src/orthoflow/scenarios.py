@@ -1,51 +1,59 @@
 """Named initial conditions for the torus and surface experiments.
 
+torus_initial builds the TORUS_SCENARIOS on a grid and surface_initial the
+SURFACE_SCENARIOS on a band; each refuses a name of the other family.
+SURFACE_SCENARIOS maps each surface scenario to its surface's constructor.
+
 Torus fields (n = 2) pick between a rotation branch and a reflection branch
 of O(2) according to a region indicator, with a shared angle field alpha:
 
     rotation(a)  = [[cos a, -sin a], [sin a, cos a]]     (det +1)
     reflection(a) = [[cos a,  sin a], [sin a, -cos a]]    (det -1)
 
+torus_disk_n1 is the scalar (n = 1) indicator of a disk instead.
+
 Surface fields (n = 3) take exactly two fixed values, one per region.  The
 seed entries for those two matrices are not orthogonal as given, so they are
 projected at import time onto the nearest rotation / nearest reflection; the
 projected matrices have determinants exactly +1 and -1.
 
-Every generator is deterministic: rebuilding a spec is bit-identical.
+Every builder is deterministic: rebuilding a field is bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cpm_surface import BandSet, Sphere, Surface, peanut_surface
+from .cpm_surface import BandSet, Sphere, peanut_surface
 from .errors import ConfigurationError
 from .field import GridSpec, MatrixField
 from .matgeom import projection_factors
 
 __all__ = [
-    "ScenarioSpec",
+    "TORUS_SCENARIOS",
+    "SURFACE_SCENARIOS",
     "SCENARIO_NAMES",
-    "build_initial",
-    "builtin_surface",
+    "torus_initial",
+    "surface_initial",
     "rotation_branch",
     "reflection_branch",
     "PATCH_PLUS",
     "PATCH_MINUS",
 ]
 
-SCENARIO_NAMES = (
+TORUS_SCENARIOS = (
     "torus_star_defect",
     "torus_parallel_defects",
     "torus_winding",
     "torus_disk_n1",
     "torus_volume_star",
-    "sphere_two_patches",
-    "sphere_volume",
-    "peanut_two_patches",
 )
+SURFACE_SCENARIOS = {
+    "sphere_two_patches": Sphere,
+    "sphere_volume": Sphere,
+    "peanut_two_patches": peanut_surface,
+}
+SCENARIO_NAMES = TORUS_SCENARIOS + tuple(SURFACE_SCENARIOS)
 
 # seed values for the two-patch surface fields; projected below
 _PLUS_SEED = np.array([
@@ -77,99 +85,47 @@ def reflection_branch(alpha: np.ndarray) -> np.ndarray:
                      np.stack([s, -c], axis=-1)], axis=-2)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A named initial condition plus the layout it lives on.
+def torus_initial(name: str, grid: GridSpec, disk_radius: float = 0.3,
+                  winding_index: int = 1) -> MatrixField:
+    """The named torus scenario's initial field on a 2-D grid.
 
-    Torus scenarios need grid; surface scenarios need band.  disk_radius
-    feeds torus_disk_n1; winding_index feeds torus_winding.
+    disk_radius feeds torus_disk_n1 and winding_index feeds torus_winding.
     """
-
-    name: str
-    grid: GridSpec | None = None
-    band: BandSet | None = None
-    disk_radius: float = 0.3
-    winding_index: int = 1
-
-    def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
-            raise ConfigurationError(f"unknown scenario {self.name!r}")
-        if not 0 < self.disk_radius < np.inf:
-            raise ConfigurationError(
-                f"disk_radius must be positive and finite, got {self.disk_radius!r}")
-
-
-def _torus_mesh(grid: GridSpec):
-    if grid is None:
-        raise ConfigurationError("torus scenario needs a grid")
+    if name not in TORUS_SCENARIOS:
+        raise ConfigurationError(f"{name!r} is not a torus scenario")
     if grid.d != 2:
         raise ConfigurationError("torus scenarios are 2D")
-    return grid.meshgrid()
+    if not 0 < disk_radius < np.inf:
+        raise ConfigurationError(
+            f"disk_radius must be positive and finite, got {disk_radius!r}")
+    x, y = grid.meshgrid()
 
-
-def _parallel_region(x, y):
-    bound = 0.25 * np.abs(np.sin(2.5 * np.pi * y)) + 0.2
-    return (x > bound) | (x < -bound)
-
-
-def build_initial(spec: ScenarioSpec) -> MatrixField:
-    """Generate the named initial field on the spec's grid or band."""
-    name = spec.name
+    if name == "torus_disk_n1":
+        inside = x**2 + y**2 < disk_radius**2
+        return MatrixField.grid_field(grid, np.where(inside, 1.0, -1.0)[..., None, None])
 
     if name in ("torus_star_defect", "torus_volume_star"):
-        x, y = _torus_mesh(spec.grid)
         alpha = (np.pi / 2.0) * np.sin(2.0 * np.pi * (x + y))
         r = np.hypot(x, y)
         theta = np.arctan2(y, x)
-        inside = r < 0.3 + 0.06 * np.sin(6.0 * theta)
-        data = np.where(inside[..., None, None],
-                        rotation_branch(alpha), reflection_branch(alpha))
-        return MatrixField.grid_field(spec.grid, data)
-
-    if name == "torus_parallel_defects":
-        x, y = _torus_mesh(spec.grid)
-        alpha = np.pi * np.sin(2.0 * np.pi * y)
-        so = _parallel_region(x, y)
-        data = np.where(so[..., None, None],
-                        rotation_branch(alpha), reflection_branch(alpha))
-        return MatrixField.grid_field(spec.grid, data)
-
-    if name == "torus_winding":
-        x, y = _torus_mesh(spec.grid)
-        alpha = 2.0 * np.pi * spec.winding_index * y
-        so = _parallel_region(x, y)
-        data = np.where(so[..., None, None],
-                        rotation_branch(alpha), reflection_branch(alpha))
-        return MatrixField.grid_field(spec.grid, data)
-
-    if name == "torus_disk_n1":
-        x, y = _torus_mesh(spec.grid)
-        inside = x**2 + y**2 < spec.disk_radius**2
-        data = np.where(inside, 1.0, -1.0)[..., None, None]
-        return MatrixField.grid_field(spec.grid, data)
-
-    if name in ("sphere_two_patches", "sphere_volume"):
-        pts = _band_points(spec)
-        plus = (pts[:, 0] < 0) & (pts[:, 1] < 0) & (pts[:, 2] > 0)
-    elif name == "peanut_two_patches":
-        pts = _band_points(spec)
-        y2z2 = pts[:, 1] ** 2 + pts[:, 2] ** 2
-        plus = pts[:, 0] > np.sqrt(y2z2 * (pts[:, 1] ** 2 + 0.1) / 1.5)
+        so = r < 0.3 + 0.06 * np.sin(6.0 * theta)
     else:
-        raise ConfigurationError(f"unknown scenario {name!r}")
-    return spec.band.field(np.where(plus[:, None, None], PATCH_PLUS, PATCH_MINUS))
+        # reflections in the wavy band |x| <= bound, rotations outside it
+        alpha = (np.pi * np.sin(2.0 * np.pi * y) if name == "torus_parallel_defects"
+                 else 2.0 * np.pi * winding_index * y)
+        bound = 0.25 * np.abs(np.sin(2.5 * np.pi * y)) + 0.2
+        so = (x > bound) | (x < -bound)
+    return MatrixField.grid_field(
+        grid, np.where(so[..., None, None], rotation_branch(alpha), reflection_branch(alpha)))
 
 
-def _band_points(spec: ScenarioSpec) -> np.ndarray:
-    if spec.band is None:
-        raise ConfigurationError(f"scenario {spec.name!r} needs a band")
-    return spec.band.closest_points
-
-
-def builtin_surface(name: str) -> Surface:
-    """The two built-in closed surfaces."""
-    if name == "sphere":
-        return Sphere(1.0)
-    if name == "peanut":
-        return peanut_surface()
-    raise ConfigurationError(f"unknown surface {name!r}")
+def surface_initial(name: str, band: BandSet) -> MatrixField:
+    """The named surface scenario's two-patch field on the band's closest points."""
+    if name not in SURFACE_SCENARIOS:
+        raise ConfigurationError(f"{name!r} is not a surface scenario")
+    x, y, z = band.closest_points.T
+    if name == "peanut_two_patches":
+        plus = x > np.sqrt((y**2 + z**2) * (y**2 + 0.1) / 1.5)
+    else:
+        plus = (x < 0) & (y < 0) & (z > 0)
+    return band.field(np.where(plus[:, None, None], PATCH_PLUS, PATCH_MINUS))

@@ -17,7 +17,7 @@ from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser,
 from orthoflow.field import GridSpec, MatrixField, field_report, plus_volume
 from orthoflow.mbo import MboConfig, mbo_run, mbo_step, select_threshold
 from orthoflow.nufft import ModeGrid, direct_type1, direct_type2, nufft_type1, nufft_type2
-from orthoflow.scenarios import ScenarioSpec, build_initial, rotation_branch
+from orthoflow.scenarios import rotation_branch, torus_initial
 from orthoflow.torus_heat import TorusDiffuser
 from projection_helper import both_projections
 
@@ -216,7 +216,7 @@ def test_c05_disk_mean_curvature_rate(shipped_runs):
 def test_c06_star_isoperimetric_and_endpoint():
     t0 = time.perf_counter()
     grid = GridSpec((256, 256))
-    f = build_initial(ScenarioSpec("torus_star_defect", grid=grid))
+    f = torus_initial("torus_star_defect", grid)
     cfg = MboConfig(backend=TorusDiffuser(grid, 2 * grid.dx), max_iters=500)
     ratios = []
     cur = f

@@ -11,6 +11,7 @@ import pytest
 import orthoflow
 from orthoflow import (BandSpec, GridSpec, MatrixField, Sphere, SurfaceDiffuser,
                        SurfaceOfRevolution, band_width, build_band)
+from orthoflow.cli import cmd_run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CLI = Path(orthoflow.__file__).with_name("cli.py")
@@ -66,6 +67,37 @@ def test_one_surface_field_constructor_and_no_unused_knobs():
     with pytest.raises(TypeError):
         SurfaceOfRevolution(np.cos, np.sin, t_range=(0.0, np.pi), samples=1024)
     assert orthoflow.cpm_surface.PROFILE_SAMPLES == 1024
+
+
+def test_two_scenario_builders_and_one_scenario_table(tmp_path, capsys):
+    # the scenario table decides the family and the surface; the spec wrapper,
+    # its builder, the surface lookup, the surface base class and the two
+    # config keys they served are gone
+    for name in ("ScenarioSpec", "build_initial", "builtin_surface"):
+        assert not hasattr(orthoflow, name) and not hasattr(orthoflow.scenarios, name)
+        assert name not in orthoflow.scenarios.__all__
+    assert not hasattr(orthoflow, "Surface") and not hasattr(orthoflow.cpm_surface, "Surface")
+    assert "Surface" not in orthoflow.cpm_surface.__all__
+    scenarios = orthoflow.scenarios
+    assert scenarios.SCENARIO_NAMES == (scenarios.TORUS_SCENARIOS
+                                        + tuple(scenarios.SURFACE_SCENARIOS))
+
+    for key in ("surface.name = sphere", "surface.w_b = 2.0"):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"scenario.name = sphere_two_patches\n{key}\n")
+        assert cmd_run(str(cfg), out_dir=tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: unknown config key {key.split()[0]!r}\n"
+
+    grid = GridSpec((8, 8))
+    band = build_band(Sphere(), BandSpec(dx=0.5, w_b=band_width(0.05, 1e-6), p=1, eps=1e-6))
+    for name in scenarios.SURFACE_SCENARIOS:
+        with pytest.raises(orthoflow.ConfigurationError) as info:
+            scenarios.torus_initial(name, grid)
+        assert str(info.value) == f"{name!r} is not a torus scenario"
+    for name in scenarios.TORUS_SCENARIOS:
+        with pytest.raises(orthoflow.ConfigurationError) as info:
+            scenarios.surface_initial(name, band)
+        assert str(info.value) == f"{name!r} is not a surface scenario"
 
 
 def test_surface_diffuser_takes_its_band_s_fields_only():

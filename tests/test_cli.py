@@ -16,7 +16,7 @@ from orthoflow.cli import (EXIT_NUMERICAL, cmd_check, cmd_run, cmd_tables, main,
 from orthoflow.errors import ConfigurationError, NumericalHealthError
 from orthoflow.field import (GridSpec, MatrixField, field_report, plus_volume, read_snapshot,
                              write_snapshot)
-from orthoflow.scenarios import ScenarioSpec, build_initial
+from orthoflow.scenarios import SCENARIO_NAMES, TORUS_SCENARIOS, torus_initial
 
 
 def write_config(path, text):
@@ -71,25 +71,36 @@ class TestParseConfig:
         assert not (tmp_path / "o").exists()
 
     def test_schema_keys_match_readme(self):
+        # the scenarios column names all, a family (torus or surface) or one scenario
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         schema = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
-        rows = re.findall(r"^\| `([a-z_.]+)` \|.*\| (all|torus|surface) \|$", schema, re.M)
+        rows = re.findall(r"^\| `([a-z_.]+)` \|.*\| `?([a-z_0-9]+)`? \|$", schema, re.M)
         assert {key for key, _ in rows} == cli.CONFIG_KEYS
-        assert {key for key, family in rows if family == "torus"} == cli.TORUS_KEYS
-        assert {key for key, family in rows if family == "surface"} == cli.SURFACE_KEYS
+        assert set(cli.SCENARIO_KEYS) == set(SCENARIO_NAMES)
+        for name in SCENARIO_NAMES:
+            family = "torus" if name in TORUS_SCENARIOS else "surface"
+            read = {key for key, column in rows if column in ("all", family, name)}
+            assert read == cli.SCENARIO_KEYS[name], name
+        assert {column for _, column in rows} == {"all", "torus", "surface",
+                                                  "torus_disk_n1", "torus_winding"}
 
     @pytest.mark.parametrize("scenario, line", [
         ("torus_star_defect", "surface.dx = 0.3"),
-        ("torus_disk_n1", "surface.name = sphere"),
+        ("torus_disk_n1", "surface.p = 3"),
         ("torus_winding", "surface.p = 1"),
         ("torus_volume_star", "surface.eps = 1e-6"),
-        ("torus_parallel_defects", "surface.w_b = 1.0"),
+        ("torus_parallel_defects", "surface.dx = 0.2"),
         ("sphere_volume", "grid.size = 16"),
         ("sphere_two_patches", "scenario.disk_radius = 0.3"),
         ("peanut_two_patches", "scenario.winding_index = 1"),
+        ("torus_star_defect", "scenario.disk_radius = 0.2"),
+        ("torus_star_defect", "scenario.winding_index = 2"),
+        ("torus_winding", "scenario.disk_radius = 0.2"),
+        ("torus_disk_n1", "scenario.winding_index = 2"),
     ])
     def test_key_of_the_other_scenario_family_exit_one(self, tmp_path, capsys, scenario, line):
-        # checked before any set-up: the run would otherwise ignore the key
+        # a key of the other family, or of another torus scenario, is checked
+        # before any set-up: the run would otherwise ignore it
         key = line.split(" =", 1)[0]
         cfg = write_config(tmp_path / "c.txt", f"scenario.name = {scenario}\n{line}\n"
                            "run.max_iters = 2\n")
@@ -335,7 +346,7 @@ class TestCheckReport:
         assert float(fields["det_max"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_check_and_one_determinant_pass(self, tmp_path, capsys, monkeypatch):
-        f = build_initial(ScenarioSpec("torus_star_defect", grid=GridSpec((32, 32))))
+        f = torus_initial("torus_star_defect", GridSpec((32, 32)))
         path = tmp_path / "s.mbof"
         write_snapshot(f, path)
         calls = {"orthogonality_defect": 0, "dets": 0}
@@ -451,7 +462,7 @@ class TestNonFiniteRunParameters:
         captured = capsys.readouterr()
         assert code == 2 and captured.err == ""
 
-    # 0.3: default w_b < dx; every value reaches band_width (the default w_b) before BandSpec
+    # every value reaches band_width, which sets w_b, before BandSpec (at 0.3, w_b < dx)
     @pytest.mark.parametrize("value", ["0.1", "1e-13", "0.3", "0.7", "0.5", "nan", "inf", "-1",
                                        "0"])
     def test_eps_outside_plan_range_named(self, tmp_path, capsys, value):
@@ -461,9 +472,7 @@ class TestNonFiniteRunParameters:
         assert code == 1
         assert captured.err == f"error: eps must lie in [1e-12, 0.01], got {float(value)!r}\n"
 
-    @pytest.mark.parametrize("key, value", [
-        ("dx", "nan"), ("dx", "inf"), ("w_b", "nan"), ("w_b", "inf"), ("w_b", "-inf"),
-    ])
+    @pytest.mark.parametrize("key, value", [("dx", "nan"), ("dx", "inf")])
     def test_non_finite_band_parameter_named(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "cfg.txt",
                            with_line(self.SPHERE, f"surface.{key} = {value}"))

@@ -6,7 +6,8 @@ from orthoflow.errors import NumericalHealthError
 from orthoflow.field import GridSpec, MatrixField, plus_volume
 from orthoflow.matgeom import ProjectionFactors, projection_factors
 from orthoflow.mbo import MboConfig, lyapunov_energy, mbo_run, mbo_step, select_threshold
-from orthoflow.scenarios import ScenarioSpec, build_initial, reflection_branch, rotation_branch
+from orthoflow.scenarios import (reflection_branch, rotation_branch, surface_initial,
+                                 torus_initial)
 from orthoflow.torus_heat import TorusDiffuser
 from projection_helper import both_projections
 
@@ -107,7 +108,7 @@ class TestMboStep:
         # tau = 2dx keeps the kernel width well under the disk radius, where
         # the rate is quantitative (at 8dx the one-step drop overshoots ~33%)
         g = GridSpec((256, 256))
-        f = build_initial(ScenarioSpec("torus_disk_n1", grid=g, disk_radius=0.3))
+        f = torus_initial("torus_disk_n1", g, disk_radius=0.3)
         tau = 2 * g.dx
         a0 = plus_volume(f)
         new, _ = mbo_step(f, torus_cfg(g, tau))
@@ -211,7 +212,7 @@ class TestSelectThreshold:
 class TestVolumeStep:
     def test_preserves_volume_to_one_cell(self):
         g = GridSpec((64, 64))
-        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        f = torus_initial("torus_volume_star", g)
         target = plus_volume(f)
         cfg = torus_cfg(g, 2 * g.dx, volume_target=target)
         new, _ = mbo_step(f, cfg)
@@ -267,7 +268,7 @@ class TestVolumeStep:
 
     def test_volume_run_monotone_and_constrained(self):
         g = GridSpec((128, 128))
-        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        f = torus_initial("torus_volume_star", g)
         target = plus_volume(f)
         cfg = torus_cfg(g, 2 * g.dx, max_iters=40, volume_target=target)
         res = mbo_run(f, cfg)
@@ -289,7 +290,7 @@ class TestMboRun:
 
     def test_converged_field_is_fixed_point(self):
         g = GridSpec((64, 64))
-        f = build_initial(ScenarioSpec("torus_star_defect", grid=g))
+        f = torus_initial("torus_star_defect", g)
         cfg = torus_cfg(g, 2 * g.dx, max_iters=500)
         res = mbo_run(f, cfg)
         assert res.converged
@@ -298,7 +299,7 @@ class TestMboRun:
 
     def test_energy_monotone_star(self):
         g = GridSpec((128, 128))
-        f = build_initial(ScenarioSpec("torus_star_defect", grid=g))
+        f = torus_initial("torus_star_defect", g)
         cfg = torus_cfg(g, 2 * g.dx, max_iters=200)
         res = mbo_run(f, cfg)
         es = res.log.energies()
@@ -334,14 +335,14 @@ class TestMboRun:
 
     def test_max_principle_diagnostics_recorded(self):
         g = GridSpec((128, 128))
-        f = build_initial(ScenarioSpec("torus_star_defect", grid=g))
+        f = torus_initial("torus_star_defect", g)
         res = mbo_run(f, torus_cfg(g, 2 * g.dx, max_iters=30, stop_tol=0.0))
         assert res.max_frobenius <= np.sqrt(2) + 1e-9
         assert res.max_abs_det <= 1.0 + 1e-9
 
     def test_snapshot_cadence(self):
         g = GridSpec((64, 64))
-        f = build_initial(ScenarioSpec("torus_star_defect", grid=g))
+        f = torus_initial("torus_star_defect", g)
         res = mbo_run(f, torus_cfg(g, 2 * g.dx, max_iters=7, stop_tol=0.0,
                                    snapshot_every=3))
         assert [it for it, _ in res.snapshots] == [3, 6]
@@ -354,7 +355,7 @@ class TestSurfaceBackendRun:
         tau, eps = 0.08, 1e-6
         band = build_band(Sphere(1.0),
                           BandSpec(dx=0.25, w_b=band_width(tau, eps), p=1, eps=eps))
-        f = build_initial(ScenarioSpec("sphere_two_patches", band=band))
+        f = surface_initial("sphere_two_patches", band)
         dif = SurfaceDiffuser(band, tau, eps)
         cfg = MboConfig(backend=dif, max_iters=5, stop_tol=1e-8)
         res = mbo_run(f, cfg)
@@ -382,7 +383,7 @@ class TestSinglePassStep:
     @pytest.mark.parametrize("volume", [False, True])
     def test_one_check_per_field_and_one_determinant_pass(self, monkeypatch, volume):
         g = GridSpec((64, 64))
-        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        f = torus_initial("torus_volume_star", g)
         target = plus_volume(f) if volume else None
         cfg = torus_cfg(g, 2 * g.dx, max_iters=8, stop_tol=0.0, volume_target=target)
         checks = self.count_calls(monkeypatch, "require_orthogonal")
@@ -395,7 +396,7 @@ class TestSinglePassStep:
     @pytest.mark.parametrize("volume", [False, True])
     def test_carried_mask_matches_determinants(self, volume):
         g = GridSpec((64, 64))
-        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        f = torus_initial("torus_volume_star", g)
         target = plus_volume(f) if volume else None
         cfg = torus_cfg(g, 2 * g.dx, max_iters=6, stop_tol=0.0, volume_target=target,
                         snapshot_every=1)
@@ -410,7 +411,7 @@ class TestSinglePassStep:
     @pytest.mark.parametrize("volume", [False, True])
     def test_carried_mask_equals_fresh_check(self, volume):
         g = GridSpec((64, 64))
-        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        f = torus_initial("torus_volume_star", g)
         cfg = torus_cfg(g, 2 * g.dx, volume_target=plus_volume(f) if volume else None)
         new_a, stats_a = mbo_step(f, cfg)
         new_b, stats_b = mbo_step(f, cfg, plus=f.dets().reshape(-1) > 0)
@@ -466,7 +467,7 @@ class TestDiffuserContract:
     @pytest.mark.parametrize("volume", [False, True])
     def test_one_diffuse_per_iteration_and_logged_energy(self, volume):
         g = GridSpec((64, 64))
-        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        f = torus_initial("torus_volume_star", g)
         target = plus_volume(f) if volume else None
         inner = TorusDiffuser(g, 2 * g.dx)
         counting = CountingDiffuser(inner)
@@ -483,7 +484,7 @@ class TestDiffuserContract:
     @pytest.mark.parametrize("volume", [False, True])
     def test_step_reports_pre_step_energy(self, volume):
         g = GridSpec((64, 64))
-        f = build_initial(ScenarioSpec("torus_volume_star", grid=g))
+        f = torus_initial("torus_volume_star", g)
         counting = CountingDiffuser(TorusDiffuser(g, 2 * g.dx))
         target = plus_volume(f) if volume else None
         _, stats = mbo_step(f, MboConfig(backend=counting, volume_target=target))

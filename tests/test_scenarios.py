@@ -5,8 +5,8 @@ import pytest
 from orthoflow.cpm_surface import BandSpec, Sphere, band_width, build_band
 from orthoflow.errors import ConfigurationError
 from orthoflow.field import GridSpec, field_report
-from orthoflow.scenarios import (PATCH_MINUS, PATCH_PLUS, SCENARIO_NAMES,
-                                 ScenarioSpec, build_initial, builtin_surface)
+from orthoflow.scenarios import (PATCH_MINUS, PATCH_PLUS, SCENARIO_NAMES, SURFACE_SCENARIOS,
+                                 TORUS_SCENARIOS, surface_initial, torus_initial)
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +21,9 @@ def sphere_band():
 
 
 def make(name, grid, band, **kw):
-    if name.startswith("torus"):
-        return build_initial(ScenarioSpec(name, grid=grid, **kw))
-    return build_initial(ScenarioSpec(name, band=band, **kw))
+    if name in TORUS_SCENARIOS:
+        return torus_initial(name, grid, **kw)
+    return surface_initial(name, band)
 
 
 class TestAllScenarios:
@@ -60,7 +60,7 @@ class TestTorusRegions:
 
     def test_winding_pair_of_initial_field(self):
         g = GridSpec((128, 128))
-        f = build_initial(ScenarioSpec("torus_winding", grid=g))
+        f = torus_initial("torus_winding", g)
         assert field_report(f).winding == (0, 1)
 
     def test_parallel_angle_field(self, grid):
@@ -100,35 +100,33 @@ class TestSurfacePatches:
 
 
 class TestBuiltinSurface:
+    # the surfaces of the scenario table
     def test_sphere(self):
-        s = builtin_surface("sphere")
-        assert np.linalg.norm(s.closest(np.array([[0.0, 0.0, 2.0]]))[0]) == \
-            pytest.approx(1.0, abs=1e-14)
+        for name in ("sphere_two_patches", "sphere_volume"):
+            s = SURFACE_SCENARIOS[name]()
+            assert np.linalg.norm(s.closest(np.array([[0.0, 0.0, 2.0]]))[0]) == \
+                pytest.approx(1.0, abs=1e-14)
 
     def test_peanut_profile(self):
-        p = builtin_surface("peanut")
+        p = SURFACE_SCENARIOS["peanut_two_patches"]()
         assert p.radial(0.0) == pytest.approx(1.0)
         assert p.axial(1.0) == pytest.approx(2.0)
         assert p.radial(1.0) == pytest.approx(0.0, abs=1e-12)
         assert p.radial(-1.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_unknown(self):
-        with pytest.raises(ConfigurationError):
-            builtin_surface("torus")
-
 
 class TestValidation:
-    def test_unknown_scenario(self):
+    def test_unknown_scenario(self, grid, sphere_band):
         with pytest.raises(ConfigurationError):
-            ScenarioSpec("torus_moebius")
+            torus_initial("torus_moebius", grid)
+        with pytest.raises(ConfigurationError):
+            surface_initial("sphere_moebius", sphere_band)
 
     @pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0, 0.0])
     def test_disk_radius_positive_and_finite(self, grid, radius):
         with pytest.raises(ConfigurationError, match="disk_radius must be positive and finite"):
-            ScenarioSpec("torus_disk_n1", grid=grid, disk_radius=radius)
+            torus_initial("torus_disk_n1", grid, disk_radius=radius)
 
-    def test_missing_layout(self, grid):
-        with pytest.raises(ConfigurationError):
-            build_initial(ScenarioSpec("sphere_two_patches", grid=grid))
-        with pytest.raises(ConfigurationError):
-            build_initial(ScenarioSpec("torus_star_defect"))
+    def test_torus_scenarios_are_2d(self):
+        with pytest.raises(ConfigurationError, match="torus scenarios are 2D"):
+            torus_initial("torus_star_defect", GridSpec((8, 8, 8)))
