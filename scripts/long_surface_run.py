@@ -36,7 +36,7 @@ def random_o3(count: int, rng) -> np.ndarray:
 
 def run_band(name: str, steps: int, seed: int) -> bool:
     surface, dx, tau = BANDS[name]
-    band = build_band(surface, BandSpec(dx=dx, w_b=band_width(tau, EPS), p=1, eps=EPS))
+    band = build_band(surface, BandSpec(dx=dx, w_b=band_width(tau, EPS), eps=EPS))
     rng = np.random.default_rng([seed, len(name)])
     initial = band.field(random_o3(band.n_q, rng))
     cfg = MboConfig(backend=SurfaceDiffuser(band, tau), max_iters=steps, stop_tol=0.0)

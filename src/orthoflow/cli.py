@@ -14,9 +14,10 @@ Exit codes:
     run     0 converged, 2 stopped at max_iters, 1 bad config (including a
             key outside the schema or one the chosen scenario does not read,
             a repeated key, a non-finite tau, stop_tol or surface.dx and a
-            volume target outside (0, total measure)), set-up arrays beyond
-            memory or an unwritable output file, 4 numerical failure during
-            the run (NumericalHealthError); errors print one line on stderr
+            volume target outside (0, total measure)), an overflow in set-up,
+            set-up arrays beyond memory or an unwritable output file, 4
+            numerical failure during the run (NumericalHealthError); errors
+            print one line on stderr
     tables  0 all entries match, 3 mismatches
     check   0 valid, 1 malformed or non-orthogonal snapshot
 """
@@ -69,7 +70,7 @@ _TORUS_ONLY_KEYS = {"torus_disk_n1": "scenario.disk_radius",
 SCENARIO_KEYS = {
     **{name: frozenset(f"{_COMMON_KEYS} grid.size {_TORUS_ONLY_KEYS.get(name, '')}".split())
        for name in TORUS_SCENARIOS},
-    **{name: frozenset(f"{_COMMON_KEYS} surface.dx surface.p surface.eps".split())
+    **{name: frozenset(f"{_COMMON_KEYS} surface.dx surface.eps".split())
        for name in SURFACE_SCENARIOS},
 }
 # the README's config schema; any other key is an error, not a silent default
@@ -143,10 +144,9 @@ def _build_run(cfg: dict):
     else:
         tau = _get(cfg, "run.tau", float, 0.01)
         dx = _get(cfg, "surface.dx", float, 0.05)
-        p = _get(cfg, "surface.p", int, 3)
         eps = _get(cfg, "surface.eps", float, 1e-6)
         band = build_band(SURFACE_SCENARIOS[name](),
-                          BandSpec(dx=dx, w_b=band_width(tau, eps), p=p, eps=eps))
+                          BandSpec(dx=dx, w_b=band_width(tau, eps), eps=eps))
         backend = SurfaceDiffuser(band, tau)
         initial = surface_initial(name, band)
 
@@ -175,7 +175,7 @@ def cmd_run(config_path, out_dir=None, snapshot_every=None) -> int:
         initial, mbo_cfg = _build_run(cfg)
         out = Path(cfg.get("output.dir", "."))
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigurationError, OSError, ValueError, MemoryError) as exc:
+    except (ConfigurationError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -238,7 +238,7 @@ def cmd_tables(out=None) -> int:
     for i, eps in enumerate(TABLE_EPSS):
         row = []
         for j, tau in enumerate(TABLE_TAUS):
-            got = spectral_grid(tau, eps, np.pi).m_half
+            got = spectral_grid(tau, eps).m_half
             want = REFERENCE_MODE_COUNTS[i][j]
             if got != want:
                 mismatches.append(

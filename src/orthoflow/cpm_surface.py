@@ -2,9 +2,9 @@
 
 The surface heat step is computed in the ambient space: constant-extend
 surface values into a band of half-width w_b around the surface, integrate
-the free-space Gaussian against the extension with per-cell quadrature, and
-evaluate the result back on the surface.  The Gaussian tail outside the band
-is controlled by
+the free-space Gaussian against the extension with the midpoint rule on the
+band's cells, and evaluate the result back on the surface.  The Gaussian tail
+outside the band is controlled by
 
     T(x) = (2x/sqrt(pi)) exp(-x^2) + (1 - erf(x)),    T(w_b / (2 sqrt(tau))) ~= eps,
 
@@ -24,8 +24,8 @@ Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
 step; the diffusion time rescales by the squared map factor.
 
 A surface is any object with closest, bounding_box and area.  A surface field
-(BandSet.field) holds one matrix per band quadrature point, stored at that
-point's closest point with its surface-measure weight.
+(BandSet.field) holds one matrix per band cell, stored at the closest point of
+the cell's centre with its surface-measure weight.
 """
 
 from __future__ import annotations
@@ -92,20 +92,20 @@ def band_width(tau: float, eps: float) -> float:
     return float(2.0 * np.sqrt(tau) * z)
 
 
-def spectral_grid(tau: float, eps: float, R: float) -> ModeGrid:
-    """Mode spacing h and count M for the 1D heat-kernel expansion on [-R, R].
+def spectral_grid(tau: float, eps: float) -> ModeGrid:
+    """Mode spacing h and count M for the 1D heat-kernel expansion on [-pi, pi].
 
-    h = min(pi/R, pi / (2 sqrt(tau |ln eps|))), and M grows like
+    h = min(1, pi / (2 sqrt(tau |ln eps|))), and M grows like
     sqrt(|ln(pi eps / (2 h sqrt(tau)))| / tau) / h.  The log is taken in
     absolute value (it is negative in the regimes of interest) and M is
     rounded up with a 0.2 guard so near-integer boundary values do not
     inflate the mode count.  eps must lie in [1e-12, 0.01].
     """
     check_tol(eps, "eps")
-    if not (0 < tau < np.inf and 0 < R < np.inf):
-        raise ValueError("tau and R must be positive and finite")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     log_eps = abs(np.log(eps))
-    h = min(np.pi / R, np.pi / (2.0 * np.sqrt(tau * log_eps)))
+    h = min(1.0, np.pi / (2.0 * np.sqrt(tau * log_eps)))
     m_real = np.sqrt(abs(np.log(np.pi * eps / (2.0 * h * np.sqrt(tau)))) / tau) / h
     m = int(np.ceil(m_real - 0.2))
     return ModeGrid(h=float(h), m_half=max(m, 1))
@@ -262,43 +262,30 @@ def peanut_surface() -> SurfaceOfRevolution:
 
 @dataclass(frozen=True)
 class BandSpec:
-    """Band parameters: grid spacing, band half-width, quadrature order, accuracy."""
+    """Band parameters: cell size dx, band half-width w_b and accuracy eps.
+    Each cell holds one quadrature point, so p is accepted only as 1."""
 
     dx: float
     w_b: float
-    p: int = 3
+    p: int = 1
     eps: float = 1e-6
 
     def __post_init__(self):
-        check_tol(self.eps, "eps")      # first: eps also sets the default w_b
+        check_tol(self.eps, "eps")
         for name, value in (("dx", self.dx), ("w_b", self.w_b)):
             if not 0 < value < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
         if self.w_b < self.dx:
             raise ConfigurationError(
                 f"band width {self.w_b:g} below grid spacing {self.dx:g}: empty band")
-        if self.p < 1:
-            raise ConfigurationError("quadrature order p must be >= 1")
-
-
-def _gc_nodes_weights(p: int):
-    """Per-axis Gauss-Chebyshev nodes on (-1, 1), weights normalized to sum 2.
-
-    The plain-integrand correction sqrt(1 - xi^2) leaves a constant bias
-    (pi/p) sum sqrt(1-c^2) != 2, so the weights are rescaled per axis; the
-    per-cell product weights then sum to exactly dx^3.
-    """
-    k = np.arange(1, p + 1)
-    c = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * p))
-    w = np.sqrt(1.0 - c**2)
-    w = w * (2.0 / w.sum())
-    return c, w
+        if self.p != 1:
+            raise ConfigurationError(f"p must be 1, one point per band cell, got {self.p!r}")
 
 
 class BandSet:
-    """Retained band cells with quadrature points, weights, closest points, and the
-    surface-measure weights, fixed here: surface.area() may integrate a profile.
-    field(data) puts one matrix per quadrature point at its closest point."""
+    """Retained band cells with their centres (the quadrature points), weights,
+    closest points, and the surface-measure weights, fixed here: surface.area()
+    may integrate a profile.  field(data) puts one matrix per cell there."""
 
     def __init__(self, surface, spec, grid_points, quad_points, quad_weights,
                  closest_points):
@@ -329,9 +316,9 @@ def build_band(surface, spec: BandSpec) -> BandSet:
 
     Cells are anchored at multiples of dx; a cell x_g + [0, dx]^3 is retained
     when the grid point x_g lies within w_b of the surface.  Each retained
-    cell gets p^3 product Gauss-Chebyshev points whose weights sum to dx^3.
+    cell gets one point, its centre x_g + dx/2, weight dx^3: the midpoint rule.
     """
-    dx, w_b, p = spec.dx, spec.w_b, spec.p
+    dx, w_b = spec.dx, spec.w_b
     lo, hi = surface.bounding_box()
     lo = lo - (w_b + 2 * dx)
     hi = hi + (w_b + 2 * dx)
@@ -351,19 +338,10 @@ def build_band(surface, spec: BandSpec) -> BandSet:
         raise ConfigurationError("band is empty: no grid point within w_b")
     grid_points = grid_points[keep]
 
-    # the quadrature points, their closest points (3 doubles each), the weights
-    _require_memory("the band's quadrature", len(grid_points) * p**3, 7)
-    nodes, wts = _gc_nodes_weights(p)
-    offs = (nodes + 1.0) * (dx / 2.0)          # p offsets in (0, dx)
-    w1 = wts * (dx / 2.0)                       # per-axis weights, sum dx
-    # p^3 tensor offsets/weights per cell
-    ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
-    cell_offsets = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
-    wx, wy, wz = np.meshgrid(w1, w1, w1, indexing="ij")
-    cell_weights = (wx * wy * wz).ravel()
-
-    quad_points = (grid_points[:, None, :] + cell_offsets[None, :, :]).reshape(-1, 3)
-    quad_weights = np.tile(cell_weights, len(grid_points))
+    # the cell centres, their closest points (3 doubles each), the weights
+    _require_memory("the band's quadrature", len(grid_points), 7)
+    quad_points = grid_points + dx / 2
+    quad_weights = np.full(len(grid_points), dx * dx * dx)
     closest = _chunked_closest(surface, quad_points)
     return BandSet(surface, spec, grid_points, quad_points, quad_weights, closest)
 
@@ -408,12 +386,19 @@ class SurfaceDiffuser:
 
     Precomputes the affine map into [-pi, pi)^3, the mode lattice, the
     closest points' GridderPlan, the per-axis heat multiplier mu, the band's
-    LatticeSpreader filtered by mu, and a scalar normalization fixing the
-    constant field (almost) exactly.  mu folds both ES deconvolutions, the
-    damping exp(-m^2 h^2 tau), the constant and the FFT normalisations into
-    one even factor per axis on the half spectrum, weighted 1 below M, 1/2 at
-    M and 0 above: the step kernel is the tensor product of the real 1D
-    expansions over -M..M-1 (the lone -M mode split evenly between +-M).
+    LatticeSpreader filtered by mu, and the scalar kappa.  mu folds both ES
+    deconvolutions, the damping exp(-m^2 h^2 tau), the constant and the FFT
+    normalisations into one even factor per axis on the half spectrum,
+    weighted 1 below M, 1/2 at M and 0 above: the step kernel is the tensor
+    product of the real 1D expansions over -M..M-1 (the lone -M mode split
+    evenly between +-M).
+
+    kappa makes the largest response to the constant field exactly 1.  The
+    kernel runs in scaled coordinates on physical weights, so kappa is the
+    Jacobian scale^3 times a calibration within 1e-5 of 1.  scale^3 alone
+    would leave max D1 = 1 + 7.1e-6 on the desk peanut, and |DA|_F up to
+    sqrt(3) + 1.2e-5, past the 1e-6 slack of the maximum-principle checks.
+
     eps is the band's, band.spec.eps; the optional third argument is accepted
     only when it equals it.  A band narrower than band_width(tau, eps) is refused.
     """
@@ -435,7 +420,7 @@ class SurfaceDiffuser:
         halfwidth = float(np.max(hi - lo)) / 2.0
         self.scale = (1.0 - 1e-9) * np.pi / halfwidth
         self.tau_scaled = tau * self.scale**2
-        self.modes = spectral_grid(self.tau_scaled, eps, np.pi)
+        self.modes = spectral_grid(self.tau_scaled, eps)
 
         src = (band.quad_points - self.center) * self.scale
         tgt = (band.closest_points - self.center) * self.scale
@@ -449,7 +434,7 @@ class SurfaceDiffuser:
                     * np.where(k < m, 1.0, 0.5 * (k == m)))
         self._spreader = LatticeSpreader(src, self.modes, eps).filtered(self._mu)
 
-        # calibrate the residual scalar on the constant field, from kappa = 1
+        # kappa, the Jacobian and the calibration together, from kappa = 1
         self._kappa = 1.0
         self._kappa = 1.0 / float(self.diffuse_values(np.ones((band.n_q, 1))).max())
 

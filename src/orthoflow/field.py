@@ -62,6 +62,8 @@ class GridSpec:
             raise ValueError("grid extents must be finite and positive")
         if any(s < 8 for s in self.sizes):
             raise ValueError("grid sizes must be >= 8 per axis")
+        if not 0 < self.cell_weight < np.inf:
+            raise ValueError(f"grid cell weight {self.cell_weight!r} must be finite and positive")
 
     @property
     def d(self) -> int:
@@ -80,10 +82,7 @@ class GridSpec:
 
     @property
     def cell_weight(self) -> float:
-        w = 1.0
-        for s in self.spacing:
-            w *= s
-        return w
+        return math.prod(self.spacing)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         e, s = self.extent[axis], self.sizes[axis]

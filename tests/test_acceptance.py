@@ -75,7 +75,7 @@ def test_c02_mode_count_table():
     t0 = time.perf_counter()
     for i, eps in enumerate(TABLE_EPSS):
         for j, tau in enumerate(TABLE_TAUS):
-            got = spectral_grid(tau, eps, np.pi).m_half
+            got = spectral_grid(tau, eps).m_half
             assert got == REFERENCE_MODE_COUNTS[i][j], (tau, eps, got)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -287,7 +287,7 @@ def test_c09_surface_diffusion_oracle():
     t0 = time.perf_counter()
     tau, eps = 0.01, 1e-6
     band = build_band(Sphere(1.0),
-                      BandSpec(dx=0.05, w_b=band_width(tau, eps), p=1, eps=eps))
+                      BandSpec(dx=0.05, w_b=band_width(tau, eps), eps=eps))
     diffuser = SurfaceDiffuser(band, tau, eps)
 
     ones = band.field(np.ones((band.n_q, 1, 1)))

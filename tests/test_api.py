@@ -89,7 +89,7 @@ def test_two_scenario_builders_and_one_scenario_table(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: unknown config key {key.split()[0]!r}\n"
 
     grid = GridSpec((8, 8))
-    band = build_band(Sphere(), BandSpec(dx=0.5, w_b=band_width(0.05, 1e-6), p=1, eps=1e-6))
+    band = build_band(Sphere(), BandSpec(dx=0.5, w_b=band_width(0.05, 1e-6), eps=1e-6))
     for name in scenarios.SURFACE_SCENARIOS:
         with pytest.raises(orthoflow.ConfigurationError) as info:
             scenarios.torus_initial(name, grid)
@@ -100,9 +100,23 @@ def test_two_scenario_builders_and_one_scenario_table(tmp_path, capsys):
         assert str(info.value) == f"{name!r} is not a surface scenario"
 
 
+def test_one_point_per_band_cell(tmp_path, capsys):
+    # the Gauss-Chebyshev cell rule and the surface.p key are gone; BandSpec.p
+    # accepts only the one point per cell
+    assert not hasattr(orthoflow.cpm_surface, "_gc_nodes_weights")
+    assert BandSpec(dx=0.5, w_b=1.0).p == 1
+    with pytest.raises(orthoflow.ConfigurationError) as info:
+        BandSpec(dx=0.5, w_b=1.0, p=3)
+    assert str(info.value) == "p must be 1, one point per band cell, got 3"
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("scenario.name = sphere_two_patches\nsurface.p = 1\n")
+    assert cmd_run(str(cfg), out_dir=tmp_path / "o") == 1
+    assert capsys.readouterr().err == "error: unknown config key 'surface.p'\n"
+
+
 def test_surface_diffuser_takes_its_band_s_fields_only():
     tau, eps = 0.05, 1e-6
-    spec = BandSpec(dx=0.5, w_b=band_width(tau, eps), p=1, eps=eps)
+    spec = BandSpec(dx=0.5, w_b=band_width(tau, eps), eps=eps)
     band = build_band(Sphere(1.0), spec)
     assert not hasattr(band, "grid_distances")
     data = np.broadcast_to(np.eye(2), (band.n_q, 2, 2))
@@ -112,7 +126,7 @@ def test_surface_diffuser_takes_its_band_s_fields_only():
     assert diffuser.diffuse(f).data.shape == (band.n_q, 2, 2)
 
     # a grid field, a field of another band, the same points reordered
-    other = build_band(Sphere(1.0), BandSpec(dx=0.45, w_b=spec.w_b, p=1, eps=eps))
+    other = build_band(Sphere(1.0), BandSpec(dx=0.45, w_b=spec.w_b, eps=eps))
     order = np.random.default_rng(0).permutation(band.n_q)
     refused = [MatrixField.grid_field(GridSpec((8, 8)), np.broadcast_to(np.eye(2), (8, 8, 2, 2))),
                other.field(np.broadcast_to(np.eye(2), (other.n_q, 2, 2))),

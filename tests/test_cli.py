@@ -86,8 +86,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("scenario, line", [
         ("torus_star_defect", "surface.dx = 0.3"),
-        ("torus_disk_n1", "surface.p = 3"),
-        ("torus_winding", "surface.p = 1"),
+        ("torus_disk_n1", "surface.eps = 1e-3"),
+        ("torus_winding", "surface.dx = 0.25"),
         ("torus_volume_star", "surface.eps = 1e-6"),
         ("torus_parallel_defects", "surface.dx = 0.2"),
         ("sphere_volume", "grid.size = 16"),
@@ -305,7 +305,7 @@ class TestFailureExitCodes:
         monkeypatch.setattr(cpm_surface, "_available_memory", lambda: 2.0**20)
         monkeypatch.setattr(cpm_surface.np, "meshgrid", None)
         cfg = write_config(tmp_path / "cfg.txt", "scenario.name = sphere_two_patches\n"
-                           "surface.dx = 0.25\nsurface.p = 1\nrun.max_iters = 1\n")
+                           "surface.dx = 0.25\nrun.max_iters = 1\n")
         code = cmd_run(cfg, out_dir=tmp_path / "o")
         err = capsys.readouterr().err
         assert code == 1
@@ -399,7 +399,11 @@ class TestCheckReport:
         b"MBOF" + struct.pack("<IIBI2Q2d", 1, 0, 0, 2, 8, 8, 1.0, 1.0),
         b"MBOF" + struct.pack("<IIBQ", 1, 1, 1, 1) + struct.pack("<4d", 0, 0, 0, np.nan)
         + struct.pack("<d", 1.0),
-    ], ids=["huge_grid", "n_zero", "nan_weight"])
+        b"MBOF" + struct.pack("<IIBI2Q2d", 1, 2, 0, 2, 8, 8, 1e308, 1e308)
+        + struct.pack("<256d", *np.tile(np.eye(2).ravel(), 64)),
+        b"MBOF" + struct.pack("<IIBI2Q2d", 1, 2, 0, 2, 8, 8, 1e-300, 1e-300)
+        + struct.pack("<256d", *np.tile(np.eye(2).ravel(), 64)),
+    ], ids=["huge_grid", "n_zero", "nan_weight", "infinite_cell_weight", "zero_cell_weight"])
     def test_hostile_snapshot_exit_one(self, tmp_path, capsys, blob):
         path = tmp_path / "h.mbof"
         path.write_bytes(blob)
@@ -418,9 +422,14 @@ class TestNonFiniteRunParameters:
     SPHERE = """
         scenario.name = sphere_two_patches
         surface.dx = 0.25
-        surface.p = 1
         run.max_iters = 1
     """
+    WINDING = """
+        scenario.name = torus_winding
+        grid.size = 32
+        run.max_iters = 3
+    """
+    OVERFLOW = "1" + "0" * 400      # an int beyond any float
 
     @pytest.mark.parametrize("base, line", [
         (TORUS, "run.tau = nan"),
@@ -434,9 +443,13 @@ class TestNonFiniteRunParameters:
         (TORUS, "scenario.disk_radius = nan"),
         (TORUS, "scenario.disk_radius = -1"),
         (TORUS, "scenario.disk_radius = 0"),
+        (TORUS, f"grid.size = {OVERFLOW}"),
+        (WINDING, f"scenario.winding_index = {OVERFLOW}"),
+        (TORUS, "scenario.disk_radius = 1e200"),
     ], ids=["torus_tau_nan", "torus_tau_inf", "torus_tau_neg_inf", "sphere_tau_nan",
             "sphere_tau_inf", "stop_tol_nan", "stop_tol_inf", "snapshot_every_negative",
-            "disk_radius_nan", "disk_radius_negative", "disk_radius_zero"])
+            "disk_radius_nan", "disk_radius_negative", "disk_radius_zero",
+            "grid_size_overflow", "winding_index_overflow", "disk_radius_overflow"])
     def test_exit_one_with_one_error_line(self, tmp_path, capsys, base, line):
         cfg = write_config(tmp_path / "cfg.txt", with_line(base, line))
         with warnings.catch_warnings():

@@ -1,6 +1,6 @@
 """Band construction, spectral parameters, and surface diffusion oracles.
 
-Heavy checks run on a coarse sphere band (dx = 0.2, p = 1); the acceptance
+Heavy checks run on a coarse sphere band (dx = 0.2); the acceptance
 suite repeats the headline oracle at the production scale (dx = 0.05).
 """
 from fractions import Fraction
@@ -25,7 +25,7 @@ TAU, EPS = 0.05, 1e-6
 @pytest.fixture(scope="module")
 def sphere_band():
     wb = band_width(TAU, EPS)
-    return build_band(Sphere(1.0), BandSpec(dx=0.2, w_b=wb, p=1, eps=EPS))
+    return build_band(Sphere(1.0), BandSpec(dx=0.2, w_b=wb, eps=EPS))
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,7 @@ def sphere_diffuser(sphere_band):
 @pytest.fixture(scope="module")
 def peanut_desk():
     """The benchmark's desk peanut band (dx = 0.3, tau = 0.1) and its diffuser."""
-    band = build_band(peanut_surface(), BandSpec(dx=0.3, w_b=band_width(0.1, EPS),
-                                                 p=1, eps=EPS))
+    band = build_band(peanut_surface(), BandSpec(dx=0.3, w_b=band_width(0.1, EPS), eps=EPS))
     return band, SurfaceDiffuser(band, 0.1, EPS)
 
 
@@ -110,14 +109,13 @@ class TestSpectralGrid:
         (1e-4, 1e-3, 136),
     ])
     def test_mode_counts(self, tau, eps, want):
-        assert spectral_grid(tau, eps, np.pi).m_half == want
+        assert spectral_grid(tau, eps).m_half == want
 
     @staticmethod
     def _kernel_error(tau, eps):
-        R = np.pi
-        modes = spectral_grid(tau, eps, R)
+        modes = spectral_grid(tau, eps)
         h, m = modes.h, modes.m_half
-        xs = np.linspace(-R, R, 1000)
+        xs = np.linspace(-np.pi, np.pi, 1000)
         ms = np.arange(-m, m)
         series = (h / (2 * np.pi)) * np.sum(
             np.exp(-ms[None, :] ** 2 * h**2 * tau + 1j * ms[None, :] * h * xs[:, None]),
@@ -144,7 +142,7 @@ class TestSpectralGrid:
         assert err <= 15 * bound
 
     def test_out_of_range(self):
-        for bad in [(0.0, 1e-6, np.pi), (1e-2, 0.9, np.pi), (1e-2, 1e-6, 0.0)]:
+        for bad in [(0.0, 1e-6), (1e-2, 0.9)]:
             with pytest.raises(ValueError):
                 spectral_grid(*bad)
 
@@ -153,8 +151,8 @@ class TestSpectralGrid:
 def test_eps_outside_range_one_message(eps):
     # band_width, spectral_grid and BandSpec share the plans' range check and its message
     want = f"eps must lie in [1e-12, 0.01], got {eps!r}"
-    for call in (lambda: band_width(0.05, eps), lambda: spectral_grid(0.05, eps, np.pi),
-                 lambda: BandSpec(dx=0.2, w_b=0.6, p=1, eps=eps)):
+    for call in (lambda: band_width(0.05, eps), lambda: spectral_grid(0.05, eps),
+                 lambda: BandSpec(dx=0.2, w_b=0.6, eps=eps)):
         with pytest.raises(ConfigurationError) as info:
             call()
         assert str(info.value) == want
@@ -273,43 +271,44 @@ class TestBandSpec:
     @pytest.mark.parametrize("name", ["dx", "w_b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
     def test_non_positive_or_non_finite_rejected(self, name, bad):
-        kwargs = {"dx": 0.2, "w_b": 0.6, "p": 1, "eps": 1e-6, name: bad}
+        kwargs = {"dx": 0.2, "w_b": 0.6, "eps": 1e-6, name: bad}
         with pytest.raises(ConfigurationError, match=f"^{name} must be"):
             BandSpec(**kwargs)
 
     @pytest.mark.parametrize("eps", [0.1, 1e-13, 0.0, np.nan])
     def test_eps_outside_plan_range_rejected(self, eps):
         with pytest.raises(ConfigurationError, match=r"^eps must lie in \[1e-12, 0.01\], got "):
-            BandSpec(dx=0.2, w_b=0.6, p=1, eps=eps)
+            BandSpec(dx=0.2, w_b=0.6, eps=eps)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-2])
     def test_eps_range_ends_accepted(self, eps):
-        assert BandSpec(dx=0.2, w_b=0.6, p=1, eps=eps).eps == eps
+        assert BandSpec(dx=0.2, w_b=0.6, eps=eps).eps == eps
 
 
 class TestBuildBand:
     def test_cell_count_near_reference(self):
-        # dx=0.05, w_b=0.5532: retained cells track the reported size (the
-        # p^3 quadrature multiplier is not part of this count)
-        band = build_band(Sphere(1.0), BandSpec(dx=0.05, w_b=0.5532, p=1, eps=1e-6))
+        # dx=0.05, w_b=0.5532: retained cells track the reported size
+        band = build_band(Sphere(1.0), BandSpec(dx=0.05, w_b=0.5532, eps=1e-6))
         assert abs(len(band.grid_points) - 136114) <= 0.25 * 136114
-        assert band.n_q == len(band.grid_points)    # p = 1
+        assert band.n_q == len(band.grid_points)
 
-    def test_weights_per_cell_sum_dx3(self):
-        band = build_band(Sphere(1.0), BandSpec(dx=0.2, w_b=0.6, p=3, eps=1e-6))
-        w = band.quad_weights.reshape(len(band.grid_points), 27)
-        np.testing.assert_allclose(w.sum(axis=1), 0.2**3, atol=1e-12)
-        assert band.n_q == 27 * len(band.grid_points)
+    def test_one_point_per_cell_at_its_centre(self, sphere_band):
+        # the midpoint rule: each cell's centre with weight dx^3, bit for bit
+        dx = sphere_band.spec.dx
+        assert np.array_equal(sphere_band.quad_points, sphere_band.grid_points + dx / 2)
+        assert np.all(sphere_band.quad_weights == dx * dx * dx)
 
     @pytest.mark.parametrize("available, what", [
         (2.0**20, "bounding-box mesh of 9261 points needs at least 0.0011 GiB, "
                   "more than the 0.000977 GiB available"),
-        (2.0**21, "quadrature of 40554 points needs at least 0.00212 GiB, "
-                  "more than the 0.00195 GiB available")])
+        ((np.inf, 2.0**16), "quadrature of 1502 points needs at least 7.83e-05 GiB, "
+                            "more than the 6.1e-05 GiB available")])
     def test_arrays_beyond_available_memory_refused(self, monkeypatch, available, what):
-        # 21^3 mesh points need 1.19 MB, the 40554 quadrature points 2.27 MB
-        monkeypatch.setattr(cpm_surface, "_available_memory", lambda: available)
-        spec = BandSpec(dx=0.25, w_b=band_width(0.01, 1e-6), p=3, eps=1e-6)
+        # the machine's answer to each of the two checks: the 21^3 mesh points
+        # need 1.19 MB, then the 1502 cell centres 84 KB, always less
+        answers = iter(np.broadcast_to(available, 2))
+        monkeypatch.setattr(cpm_surface, "_available_memory", lambda: next(answers))
+        spec = BandSpec(dx=0.25, w_b=band_width(0.01, 1e-6), eps=1e-6)
         with pytest.raises(MemoryError, match=what) as info:
             build_band(Sphere(1.0), spec)
         assert "\n" not in str(info.value)
@@ -321,7 +320,7 @@ class TestBuildBand:
 
     def test_degenerate_band_rejected(self):
         with pytest.raises(ConfigurationError):
-            BandSpec(dx=0.2, w_b=0.1, p=1, eps=1e-6)
+            BandSpec(dx=0.2, w_b=0.1, eps=1e-6)
 
     def test_surface_weights_sum_to_area(self, sphere_band):
         total = sphere_band.surface_weights().sum()
@@ -369,8 +368,7 @@ class TestDiffuseSurface:
         assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
     def test_wider_band_changes_little(self, sphere_band, sphere_diffuser):
-        wide = build_band(Sphere(1.0), BandSpec(dx=0.2, w_b=1.3 * sphere_band.spec.w_b,
-                                                p=1, eps=EPS))
+        wide = build_band(Sphere(1.0), BandSpec(dx=0.2, w_b=1.3 * sphere_band.spec.w_b, eps=EPS))
         dif_w = SurfaceDiffuser(wide, TAU, EPS)
         # constant-field responses agree with the exact value 1 within 10 eps
         c_n = sphere_diffuser.diffuse_values(np.ones((sphere_band.n_q, 1)))[:, 0]
@@ -393,8 +391,8 @@ class TestDiffuseSurface:
     def test_band_width_is_the_narrowest_accepted(self, eps):
         # desk sphere, dx = 0.3: band_width's own width passes, one ulp less fails
         w = band_width(TAU, eps)
-        SurfaceDiffuser(build_band(Sphere(1.0), BandSpec(dx=0.3, w_b=w, p=1, eps=eps)), TAU)
-        narrow = build_band(Sphere(1.0), BandSpec(dx=0.3, w_b=np.nextafter(w, 0), p=1, eps=eps))
+        SurfaceDiffuser(build_band(Sphere(1.0), BandSpec(dx=0.3, w_b=w, eps=eps)), TAU)
+        narrow = build_band(Sphere(1.0), BandSpec(dx=0.3, w_b=np.nextafter(w, 0), eps=eps))
         with pytest.raises(ConfigurationError, match="band too narrow"):
             SurfaceDiffuser(narrow, TAU)
 
@@ -498,6 +496,13 @@ class TestFusedHeatStep:
         ref = 1.0 / self.complex_reference(dif, np.ones((band.n_q, 1))).max()
         assert abs(dif._kappa - ref) <= 1e-14 * ref
 
+    def test_kappa_is_the_jacobian_times_a_calibration_near_one(self, desk):
+        # the kernel runs in scaled coordinates on physical weights: kappa is
+        # scale^3 times a calibration within 1e-5 of 1 (-3.0e-6 on the
+        # sphere, -7.1e-6 on the peanut)
+        _, dif = desk
+        assert abs(dif._kappa / dif.scale**3 - 1.0) <= 1e-5
+
     def test_axis_multiplier_cut_to_kept_modes(self, desk):
         # mu lives on the half spectrum k = 0..n_over/2 and is cut after k = M,
         # where the +-M pair shares the lone -M mode's weight
@@ -534,6 +539,6 @@ def test_non_finite_tau_rejected(sphere_band, tau):
     with pytest.raises(ValueError, match="finite"):
         band_width(tau, EPS)
     with pytest.raises(ValueError, match="finite"):
-        spectral_grid(tau, EPS, np.pi)
+        spectral_grid(tau, EPS)
     with pytest.raises(ValueError, match="finite"):
         SurfaceDiffuser(sphere_band, tau, EPS)

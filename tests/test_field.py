@@ -50,6 +50,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="extents must be finite and positive"):
             GridSpec((8, 8), extent)
 
+    @pytest.mark.parametrize("extent, weight", [((1e308, 1e308), "inf"),
+                                                ((1e-300, 1e-300), "0.0")])
+    def test_cell_weight_not_finite_and_positive_rejected(self, extent, weight):
+        # finite positive extents whose cell weight overflows or underflows
+        with pytest.raises(ValueError, match=f"^grid cell weight {weight} must be finite"):
+            GridSpec((8, 8), extent)
+
     def test_coords_centered(self):
         g = GridSpec((16, 16))
         c = g.axis_coords(0)

@@ -354,7 +354,7 @@ class TestSurfaceBackendRun:
                                            band_width, build_band)
         tau, eps = 0.08, 1e-6
         band = build_band(Sphere(1.0),
-                          BandSpec(dx=0.25, w_b=band_width(tau, eps), p=1, eps=eps))
+                          BandSpec(dx=0.25, w_b=band_width(tau, eps), eps=eps))
         f = surface_initial("sphere_two_patches", band)
         dif = SurfaceDiffuser(band, tau, eps)
         cfg = MboConfig(backend=dif, max_iters=5, stop_tol=1e-8)

@@ -350,7 +350,7 @@ def desk_quad(request):
     """The desk bands' quadrature points in the surface diffuser's [-pi, pi)^3."""
     surface, dx, tau = ((Sphere(1.0), 0.2, 0.05) if request.param == "sphere"
                         else (peanut_surface(), 0.3, 0.1))
-    band = build_band(surface, BandSpec(dx=dx, w_b=band_width(tau, 1e-6), p=1, eps=1e-6))
+    band = build_band(surface, BandSpec(dx=dx, w_b=band_width(tau, 1e-6), eps=1e-6))
     dif = SurfaceDiffuser(band, tau, 1e-6)
     return (band.quad_points - dif.center) * dif.scale, dif.modes, dif.eps
 

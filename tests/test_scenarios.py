@@ -17,7 +17,7 @@ def grid():
 @pytest.fixture(scope="module")
 def sphere_band():
     return build_band(Sphere(1.0),
-                      BandSpec(dx=0.25, w_b=band_width(0.08, 1e-6), p=1, eps=1e-6))
+                      BandSpec(dx=0.25, w_b=band_width(0.08, 1e-6), eps=1e-6))
 
 
 def make(name, grid, band, **kw):
