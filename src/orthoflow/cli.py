@@ -112,9 +112,14 @@ def _get(cfg, key, cast, default=None, required=False):
             raise ConfigurationError(f"missing config key {key!r}")
         return default
     try:
-        return cast(cfg[key])
+        value = cast(cfg[key])
+        if cast is not str:
+            float(value) ** 2       # set-up squares lengths; overflow here, where the key is known
     except ValueError as exc:
         raise ConfigurationError(f"bad value for {key!r}: {cfg[key]!r}") from exc
+    except OverflowError as exc:
+        raise ConfigurationError(f"value of {key!r} overflows a float when squared") from exc
+    return value
 
 
 def _build_run(cfg: dict):

@@ -24,8 +24,8 @@ Physical coordinates are affinely mapped into [-pi, pi)^3 before the spectral
 step; the diffusion time rescales by the squared map factor.
 
 A surface is any object with closest, bounding_box and area.  A surface field
-(BandSet.field) holds one matrix per band cell, stored at the closest point of
-the cell's centre with its surface-measure weight.
+(BandSet.field) holds one matrix per band cell (a cell whose centre lies within
+w_b), stored at the closest point of that centre with its surface-measure weight.
 """
 
 from __future__ import annotations
@@ -283,15 +283,13 @@ class BandSpec:
 
 
 class BandSet:
-    """Retained band cells with their centres (the quadrature points), weights,
+    """Retained band cells: their centres (the quadrature points), weights and
     closest points, and the surface-measure weights, fixed here: surface.area()
     may integrate a profile.  field(data) puts one matrix per cell there."""
 
-    def __init__(self, surface, spec, grid_points, quad_points, quad_weights,
-                 closest_points):
+    def __init__(self, surface, spec, quad_points, quad_weights, closest_points):
         self.surface = surface
         self.spec = spec
-        self.grid_points = grid_points
         self.quad_points = quad_points
         self.quad_weights = quad_weights
         self.closest_points = closest_points
@@ -314,36 +312,38 @@ class BandSet:
 def build_band(surface, spec: BandSpec) -> BandSet:
     """Grid the w_b-neighborhood of the surface and build the quadrature set.
 
-    Cells are anchored at multiples of dx; a cell x_g + [0, dx]^3 is retained
-    when the grid point x_g lies within w_b of the surface.  Each retained
-    cell gets one point, its centre x_g + dx/2, weight dx^3: the midpoint rule.
+    The bounding-box mesh holds the cell centres k dx + dx/2 per axis; one
+    closest-point pass keeps the centres within w_b of the surface and gives
+    their closest points.  Each kept centre is a quadrature point with weight
+    dx^3: the midpoint rule on the band.
     """
     dx, w_b = spec.dx, spec.w_b
     lo, hi = surface.bounding_box()
     lo = lo - (w_b + 2 * dx)
     hi = hi + (w_b + 2 * dx)
-    axes = [np.arange(np.floor(l / dx), np.ceil(h / dx) + 1) * dx
+    axes = [np.arange(np.floor(l / dx), np.ceil(h / dx) + 1) * dx + dx / 2
             for l, h in zip(lo, hi)]
     # held at once while the distances are taken, 3 doubles per point each: the
     # mesh arrays, the stacked points, their closest points, the difference
     # and its square; and the distances
-    _require_memory("the band's bounding-box mesh", math.prod(len(a) for a in axes), 16)
+    npoints = math.prod(len(a) for a in axes)
+    need, available = 8 * 16 * npoints, _available_memory()
+    if need > available:
+        raise MemoryError(f"the band's bounding-box mesh of {npoints} points needs at least "
+                          f"{need / 2**30:.3g} GiB, more than the {available / 2**30:.3g} GiB "
+                          f"available")
     mesh = np.meshgrid(*axes, indexing="ij")
-    grid_points = np.stack([m.ravel() for m in mesh], axis=1)
+    centres = np.stack([m.ravel() for m in mesh], axis=1)
 
-    cps = _chunked_closest(surface, grid_points)
-    dists = np.linalg.norm(grid_points - cps, axis=1)
-    keep = dists < w_b
+    closest = np.empty_like(centres)
+    for start in range(0, npoints, _CLOSEST_CHUNK):
+        chunk = slice(start, start + _CLOSEST_CHUNK)
+        closest[chunk] = surface.closest(centres[chunk])
+    keep = np.linalg.norm(centres - closest, axis=1) < w_b
     if not np.any(keep):
-        raise ConfigurationError("band is empty: no grid point within w_b")
-    grid_points = grid_points[keep]
-
-    # the cell centres, their closest points (3 doubles each), the weights
-    _require_memory("the band's quadrature", len(grid_points), 7)
-    quad_points = grid_points + dx / 2
-    quad_weights = np.full(len(grid_points), dx * dx * dx)
-    closest = _chunked_closest(surface, quad_points)
-    return BandSet(surface, spec, grid_points, quad_points, quad_weights, closest)
+        raise ConfigurationError("band is empty: no cell centre within w_b")
+    return BandSet(surface, spec, centres[keep], np.full(np.count_nonzero(keep), dx * dx * dx),
+                   closest[keep])
 
 
 _CLOSEST_CHUNK = 262144    # points per surface.closest call
@@ -359,22 +359,6 @@ def _available_memory() -> float:
     except OSError:
         pass
     return math.inf
-
-
-def _require_memory(what: str, npoints: int, doubles: int):
-    """MemoryError unless npoints x doubles float64 values fit in available memory."""
-    need, available = 8 * doubles * npoints, _available_memory()
-    if need > available:
-        raise MemoryError(f"{what} of {npoints} points needs at least {need / 2**30:.3g} GiB, "
-                          f"more than the {available / 2**30:.3g} GiB available")
-
-
-def _chunked_closest(surface, points):
-    out = np.empty_like(points)
-    for lo in range(0, len(points), _CLOSEST_CHUNK):
-        hi = min(lo + _CLOSEST_CHUNK, len(points))
-        out[lo:hi] = surface.closest(points[lo:hi])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +379,11 @@ class SurfaceDiffuser:
 
     kappa makes the largest response to the constant field exactly 1.  The
     kernel runs in scaled coordinates on physical weights, so kappa is the
-    Jacobian scale^3 times a calibration within 1e-5 of 1.  scale^3 alone
-    would leave max D1 = 1 + 7.1e-6 on the desk peanut, and |DA|_F up to
-    sqrt(3) + 1.2e-5, past the 1e-6 slack of the maximum-principle checks.
+    Jacobian scale^3 times a calibration within 1e-5 of 1 (kappa/scale^3 - 1
+    is -1.3e-7 on the desk sphere and -2.9e-7 on the desk peanut).  scale^3
+    alone would leave max D1 = 1 + 2.9e-7 on the desk peanut, inside the 1e-6
+    slack of the maximum-principle checks but not exact; the calibration
+    holds the bound on any band, however coarse.
 
     eps is the band's, band.spec.eps; the optional third argument is accepted
     only when it equals it.  A band narrower than band_width(tau, eps) is refused.

@@ -64,6 +64,8 @@ class GridSpec:
             raise ValueError("grid sizes must be >= 8 per axis")
         if not 0 < self.cell_weight < np.inf:
             raise ValueError(f"grid cell weight {self.cell_weight!r} must be finite and positive")
+        if not self.cell_weight * math.prod(self.sizes) < np.inf:
+            raise ValueError("grid total measure (cell weight x points) must be finite")
 
     @property
     def d(self) -> int:
@@ -99,6 +101,7 @@ class MatrixField:
     clouds.  weights is the one per-point integration weight array,
     (npoints,): a read-only broadcast of the cell weight on a grid, the given
     positive finite weights of a cloud, whose points are finite (npoints, 3).
+    The total measure, the weights' sum, must be finite.
     The layout (n >= 1, npoints >= 1) is checked once here; copy_with reuses it.
     """
 
@@ -127,6 +130,9 @@ class MatrixField:
             raise ValueError("non-finite cloud points or weights")
         if np.any(self.weights <= 0):
             raise ValueError("cloud weights must be positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(self.weights)):
+                raise ValueError("cloud total measure (sum of weights) must be finite")
 
     # -- construction helpers ------------------------------------------------
 

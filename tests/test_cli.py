@@ -403,13 +403,21 @@ class TestCheckReport:
         + struct.pack("<256d", *np.tile(np.eye(2).ravel(), 64)),
         b"MBOF" + struct.pack("<IIBI2Q2d", 1, 2, 0, 2, 8, 8, 1e-300, 1e-300)
         + struct.pack("<256d", *np.tile(np.eye(2).ravel(), 64)),
-    ], ids=["huge_grid", "n_zero", "nan_weight", "infinite_cell_weight", "zero_cell_weight"])
+        # a finite cell weight of 2.85e306 on 64 cells: the total measure overflows
+        b"MBOF" + struct.pack("<IIBI2Q2d", 1, 2, 0, 2, 8, 8, 1.35e154, 1.35e154)
+        + struct.pack("<256d", *np.tile(np.eye(2).ravel(), 64)),
+        b"MBOF" + struct.pack("<IIBQ", 1, 1, 1, 2) + struct.pack("<8d", 0, 0, 0, 1e308,
+                                                                 1, 0, 0, 1e308)
+        + struct.pack("<2d", 1.0, 1.0),
+    ], ids=["huge_grid", "n_zero", "nan_weight", "infinite_cell_weight", "zero_cell_weight",
+            "infinite_grid_measure", "infinite_cloud_measure"])
     def test_hostile_snapshot_exit_one(self, tmp_path, capsys, blob):
         path = tmp_path / "h.mbof"
         path.write_bytes(blob)
         assert cmd_check(path) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestNonFiniteRunParameters:
@@ -459,6 +467,10 @@ class TestNonFiniteRunParameters:
         assert code == 1
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "error:" not in captured.out
+        if line in (f"grid.size = {self.OVERFLOW}", f"scenario.winding_index = {self.OVERFLOW}",
+                    "scenario.disk_radius = 1e200"):
+            # an overflow in set-up names the key whose value caused it
+            assert f"'{line.split(' = ')[0]}'" in captured.err
 
     def test_negative_snapshot_flag_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.txt", self.TORUS)

@@ -16,8 +16,10 @@ from orthoflow.cpm_surface import (BandSpec, Sphere, SurfaceDiffuser, SurfaceOfR
                                     band_width, build_band, peanut_surface, spectral_grid,
                                     tail_T)
 from orthoflow.errors import ConfigurationError
-from orthoflow.field import MatrixField
+from orthoflow.field import MatrixField, plus_volume
 from orthoflow.nufft import GridderPlan, LatticeSpreader
+from orthoflow.scenarios import surface_initial
+from revolution_oracle import mode_errors, revolution_modes
 
 TAU, EPS = 0.05, 1e-6
 
@@ -289,34 +291,77 @@ class TestBuildBand:
     def test_cell_count_near_reference(self):
         # dx=0.05, w_b=0.5532: retained cells track the reported size
         band = build_band(Sphere(1.0), BandSpec(dx=0.05, w_b=0.5532, eps=1e-6))
-        assert abs(len(band.grid_points) - 136114) <= 0.25 * 136114
-        assert band.n_q == len(band.grid_points)
+        assert abs(band.n_q - 136114) <= 0.25 * 136114
+        assert band.quad_weights.shape == (band.n_q,) and band.closest_points.shape == (band.n_q, 3)
 
     def test_one_point_per_cell_at_its_centre(self, sphere_band):
-        # the midpoint rule: each cell's centre with weight dx^3, bit for bit
+        # the midpoint rule: distinct cell centres k dx + dx/2 with weight dx^3
         dx = sphere_band.spec.dx
-        assert np.array_equal(sphere_band.quad_points, sphere_band.grid_points + dx / 2)
+        k = sphere_band.quad_points / dx - 0.5
+        assert np.abs(k - np.rint(k)).max() <= 1e-9
+        assert len(np.unique(np.rint(k), axis=0)) == sphere_band.n_q
         assert np.all(sphere_band.quad_weights == dx * dx * dx)
 
     @pytest.mark.parametrize("available, what", [
         (2.0**20, "bounding-box mesh of 9261 points needs at least 0.0011 GiB, "
-                  "more than the 0.000977 GiB available"),
-        ((np.inf, 2.0**16), "quadrature of 1502 points needs at least 7.83e-05 GiB, "
-                            "more than the 6.1e-05 GiB available")])
+                  "more than the 0.000977 GiB available")])
     def test_arrays_beyond_available_memory_refused(self, monkeypatch, available, what):
-        # the machine's answer to each of the two checks: the 21^3 mesh points
-        # need 1.19 MB, then the 1502 cell centres 84 KB, always less
-        answers = iter(np.broadcast_to(available, 2))
-        monkeypatch.setattr(cpm_surface, "_available_memory", lambda: next(answers))
+        # the 21^3 mesh points need 1.19 MB
+        monkeypatch.setattr(cpm_surface, "_available_memory", lambda: available)
         spec = BandSpec(dx=0.25, w_b=band_width(0.01, 1e-6), eps=1e-6)
         with pytest.raises(MemoryError, match=what) as info:
             build_band(Sphere(1.0), spec)
         assert "\n" not in str(info.value)
 
     def test_distances_below_band_width(self, sphere_band):
-        pts = sphere_band.grid_points
+        pts = sphere_band.quad_points
         dists = np.linalg.norm(pts - sphere_band.surface.closest(pts), axis=1)
         assert dists.max() < sphere_band.spec.w_b
+
+    def test_quadrature_within_band_width_on_desk_bands(self, desk):
+        # each centre is kept by its own distance, and its closest point is reused
+        band, _ = desk
+        closest = band.surface.closest(band.quad_points)
+        assert np.array_equal(band.closest_points, closest)
+        assert np.linalg.norm(band.quad_points - closest, axis=1).max() < band.spec.w_b
+
+    def test_desk_sphere_band_mirror_symmetric(self, sphere_band):
+        # cell k mirrors to cell -1 - k on each axis
+        k = np.rint(sphere_band.quad_points / sphere_band.spec.dx - 0.5).astype(int)
+        cells = set(map(tuple, k))
+        for axis in range(3):
+            mirrored = k.copy()
+            mirrored[:, axis] = -1 - mirrored[:, axis]
+            assert set(map(tuple, mirrored)) == cells
+
+    def test_sphere_volume_initial_plus_volume_is_an_octant(self, sphere_band):
+        # the desk sphere_volume config's band: its plus octant has area pi/2
+        f = surface_initial("sphere_volume", sphere_band)
+        assert plus_volume(f) == pytest.approx(np.pi / 2, rel=1e-3)
+
+    def test_one_closest_point_pass(self, monkeypatch):
+        # every bounding-box mesh point goes to surface.closest exactly once,
+        # also across chunks
+        sphere, seen = Sphere(1.0), []
+
+        class Wrapping:
+            def closest(self, points):
+                seen.append(points.copy())
+                return sphere.closest(points)
+
+            def bounding_box(self):
+                return sphere.bounding_box()
+
+            def area(self):
+                return sphere.area()
+
+        monkeypatch.setattr(cpm_surface, "_CLOSEST_CHUNK", 1000)
+        band = build_band(Wrapping(), BandSpec(dx=0.25, w_b=band_width(0.01, 1e-6), eps=1e-6))
+        pts = np.concatenate(seen)
+        assert len(seen) == 10 and len(pts) == 21**3
+        assert len(np.unique(pts, axis=0)) == len(pts)
+        assert all(len(np.unique(pts[:, a])) == 21 for a in range(3))
+        assert 0 < band.n_q < len(pts)
 
     def test_degenerate_band_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -451,12 +496,41 @@ def test_callable_surface_matches_sphere(sphere_band, sphere_diffuser):
             return 4.0 * np.pi
 
     band = build_band(ClosestPointMap(), sphere_band.spec)
-    for name in ("grid_points", "quad_points", "quad_weights", "closest_points"):
+    for name in ("quad_points", "quad_weights", "closest_points"):
         assert np.array_equal(getattr(band, name), getattr(sphere_band, name)), name
     data = np.random.default_rng(13).standard_normal((band.n_q, 3, 3))
     got = SurfaceDiffuser(band, TAU, EPS).diffuse(band.field(data))
     want = sphere_diffuser.diffuse(sphere_band.field(data))
     assert np.array_equal(got.data, want.data)
+
+
+class TestRevolutionOracle:
+    """One heat step against exp(-lam tau) on the two lowest non-constant
+    Laplace-Beltrami modes for each m = 0..3 (revolution_oracle)."""
+
+    @staticmethod
+    def sphere_profile():
+        return (lambda t: np.sin(np.pi * t / 2.0)), (lambda t: np.cos(np.pi * t / 2.0))
+
+    def test_sphere_profile_eigenvalues_are_l_l_plus_1(self):
+        # m = 0, 1: l = 1, 2; m = 2: l = 2, 3; m = 3: l = 3, 4
+        modes = revolution_modes(*self.sphere_profile(), elements=8000)
+        assert [mode.m for mode in modes] == [0, 0, 1, 1, 2, 2, 3, 3]
+        want = [l * (l + 1) for l in (1, 2, 1, 2, 2, 3, 3, 4)]
+        assert np.allclose([mode.lam for mode in modes], want, rtol=1e-6, atol=0)
+
+    def test_desk_sphere_m3_l4_mode(self, sphere_diffuser):
+        # measured 2.64 %
+        axial, radial = self.sphere_profile()
+        modes = revolution_modes(axial, radial, ms=[3])
+        assert mode_errors(sphere_diffuser, modes, axial)[1] <= 0.03
+
+    def test_desk_peanut_worst_mode(self, peanut_desk):
+        # measured 6.74 %, at the first m = 2 mode
+        _, dif = peanut_desk
+        surface = dif.band.surface
+        errors = mode_errors(dif, revolution_modes(surface.axial, surface.radial), surface.axial)
+        assert errors.max() <= 0.07
 
 
 class TestFusedHeatStep:
@@ -498,8 +572,8 @@ class TestFusedHeatStep:
 
     def test_kappa_is_the_jacobian_times_a_calibration_near_one(self, desk):
         # the kernel runs in scaled coordinates on physical weights: kappa is
-        # scale^3 times a calibration within 1e-5 of 1 (-3.0e-6 on the
-        # sphere, -7.1e-6 on the peanut)
+        # scale^3 times a calibration within 1e-5 of 1 (-1.3e-7 on the
+        # sphere, -2.9e-7 on the peanut)
         _, dif = desk
         assert abs(dif._kappa / dif.scale**3 - 1.0) <= 1e-5
 
